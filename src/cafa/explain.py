@@ -4,6 +4,12 @@ All explainers target the model's positive-class probability. Feature
 removal is interventional: the value of a coalition S is the model's mean
 prediction over background rows with the coalition's columns overwritten by
 the query's values.
+
+Models are assumed to score rows independently: ``predict_proba`` gives
+each row the same output whatever else is in the batch. Batching model calls
+(``_prob1``) and scoring each distinct coalition row only once
+(``_coalition_means``) both rely on this, and neither changes a single bit
+of the result for such a model.
 """
 
 from __future__ import annotations
@@ -85,6 +91,39 @@ def _prob1(f, Z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _coalition_means(f, x: np.ndarray, bg: Background, pinned: np.ndarray) -> np.ndarray:
+    """Mean positive-class probability of each coalition in ``pinned``.
+
+    ``pinned`` is a ``(C, m)`` boolean matrix; coalition ``c`` takes the
+    query's values on its pinned columns and background row ``b``'s values
+    elsewhere. Pinning a column whose background bits already equal the
+    query's changes nothing, so the row for ``(c, b)`` is fixed by ``b`` and
+    by ``pinned[c] & D[b]``, where ``D[b]`` marks the columns where row ``b``
+    differs from the query. Only one row per distinct such key is built and
+    scored; the predictions are scattered back to the ``(C, B)`` grid, so
+    every coalition mean sums the same floats in the same order as scoring
+    the full grid would.
+    """
+    C, B = pinned.shape[0], bg.size
+    differs = bg.rows.view(np.int64) != x.view(np.int64)
+    keys = (np.packbits(pinned, axis=1)[:, None, :] & np.packbits(differs, axis=1)[None, :, :])
+    keys = keys.reshape(C * B, -1)
+    cols = [keys[:, j] for j in range(keys.shape[1])]
+    cols.append(np.tile(np.arange(B), C))
+    # Group equal (key, b) cells: sort them, then mark where a key starts.
+    order = np.lexsort(cols)
+    starts = np.zeros(order.size, dtype=bool)
+    starts[0] = True
+    for col in cols:
+        s = col[order]
+        starts[1:] |= s[1:] != s[:-1]
+    cell = np.empty(order.size, dtype=np.intp)
+    cell[order] = np.cumsum(starts) - 1
+    first = order[starts]
+    rows = np.where(pinned[first // B], x, bg.rows[first % B])
+    return _prob1(f, rows)[cell].reshape(C, B).mean(axis=1)
+
+
 def coalition_value(f, x, coalition, bg: Background) -> float:
     """Mean prediction with ``coalition`` columns pinned to the query."""
     x = np.asarray(x, dtype=np.float64)
@@ -106,15 +145,12 @@ def shapley_exact(f, x, bg: Background, exact_limit: int = 15) -> Attribution:
         )
     n_masks = 1 << m
     bits = ((np.arange(n_masks)[:, None] >> np.arange(m)) & 1).astype(bool)
-    B = bg.size
 
     v = np.empty(n_masks, dtype=np.float64)
-    masks_per_chunk = max(1, _BATCH_ROWS // max(B, 1))
+    masks_per_chunk = max(1, _BATCH_ROWS // bg.size)
     for start in range(0, n_masks, masks_per_chunk):
         stop = min(start + masks_per_chunk, n_masks)
-        chunk = bits[start:stop]
-        Z = np.where(chunk[:, None, :], x[None, None, :], bg.rows[None, :, :])
-        v[start:stop] = _prob1(f, Z.reshape(-1, m)).reshape(-1, B).mean(axis=1)
+        v[start:stop] = _coalition_means(f, x, bg, bits[start:stop])
 
     sizes = bits.sum(axis=1)
     fact = [math.factorial(i) for i in range(m + 1)]
@@ -147,18 +183,16 @@ def shapley_mc(f, x, bg: Background, n_perms: int = 2000, seed: int = 0) -> Attr
 
     phi = np.zeros(m, dtype=np.float64)
     phi0 = None
+    steps = np.arange(m + 1)
     perms_per_chunk = max(1, _BATCH_ROWS // ((m + 1) * B))
     for start in range(0, n_perms, perms_per_chunk):
         chunk = perms[start : start + perms_per_chunk]
         P = chunk.shape[0]
-        Z = np.empty((P, m + 1, B, m), dtype=np.float64)
-        Z[:, 0] = bg.rows
-        pidx = np.arange(P)
-        for step in range(1, m + 1):
-            Z[:, step] = Z[:, step - 1]
-            col = chunk[:, step - 1]
-            Z[pidx, step, :, col] = x[col][:, None]
-        v = _prob1(f, Z.reshape(-1, m)).reshape(P, m + 1, B).mean(axis=2)
+        # Step s of a chain pins the first s columns of its permutation.
+        rank = np.empty_like(chunk)
+        rank[np.arange(P)[:, None], chunk] = steps[:m]
+        pinned = rank[:, None, :] < steps[None, :, None]
+        v = _coalition_means(f, x, bg, pinned.reshape(-1, m)).reshape(P, m + 1)
         if phi0 is None:
             phi0 = float(v[0, 0])
         np.add.at(phi, chunk.ravel(), (v[:, 1:] - v[:, :-1]).ravel())

@@ -63,6 +63,8 @@ class Tree:
         self.right = np.asarray(right, dtype=np.int64)
         self.leaf_prob = np.asarray(leaf_prob, dtype=np.float64)
         self._gather = np.maximum(self.feature, 0)
+        # Node i's left child at 2 * i, its right child at 2 * i + 1.
+        self._children = np.stack([self.left, self.right], axis=1).ravel()
         self.depth = self._measure_depth()
 
     def _measure_depth(self) -> int:
@@ -97,13 +99,15 @@ class Tree:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf index reached by every row of ``X``."""
-        node = np.zeros(X.shape[0], dtype=np.int64)
+        n, m = X.shape
+        flat = X.ravel()
+        row_start = np.arange(0, n * m, m)
+        node = np.zeros(n, dtype=np.int64)
         for _ in range(self.depth):
-            vals = X[np.arange(X.shape[0]), self._gather[node]]
-            cat = self.is_cat[node]
-            thr = self.threshold[node]
-            go_left = np.where(cat, vals == thr, vals <= thr)
-            node = np.where(go_left, self.left[node], self.right[node])
+            vals = flat.take(row_start + self._gather.take(node))
+            thr = self.threshold.take(node)
+            go_left = np.where(self.is_cat.take(node), vals == thr, vals <= thr)
+            node = self._children.take(2 * node + ~go_left)
         return node
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

@@ -200,8 +200,12 @@ def cafa_local(
     )
     per_row_phi, phi0 = _explain_rows(g, rows, idx, bg, cfg)
     phi = per_row_phi.mean(axis=0)
-    # Holding uncontrollables fixed everywhere guarantees exact zeros there.
-    assert np.all(phi[schema.uncontrollable_idx] == 0.0)
+    # Holding uncontrollables fixed everywhere guarantees exact zeros there;
+    # a raise, not an assert, so the check survives ``python -O``.
+    unc = schema.uncontrollable_idx
+    if np.any(phi[unc] != 0.0):
+        bad = [schema.names[j] for j in unc[phi[unc] != 0.0]]
+        raise ExplanationError(f"uncontrollable features got nonzero attribution: {bad}")
 
     attribution = Attribution(phi=phi, phi0=phi0, method="cafa", seed=cfg.seed)
     comparison = None

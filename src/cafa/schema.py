@@ -484,20 +484,6 @@ def encode_instance(schema: FeatureSchema, norm_params, raw: dict) -> np.ndarray
     return x
 
 
-def dataset_to_csv(data: Dataset, path) -> None:
-    """Dump the normalized dataset (debugging aid; values as stored)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(data.schema.names) + ["class"])
-        for i in range(data.n_rows):
-            cells = []
-            for j, f in enumerate(data.schema.features):
-                v = data.X[i, j]
-                cells.append(str(int(v)) if f.is_categorical else repr(float(v)))
-            cells.append(str(int(data.y[i])))
-            writer.writerow(cells)
-
-
 def dataset_to_raw_csv(data: Dataset, path, label_name: str = "class") -> None:
     """Dump the dataset with original category labels and raw-scale values.
 

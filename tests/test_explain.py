@@ -213,6 +213,139 @@ def test_mc_validation():
                    n_perms=0)
 
 
+# --- distinct coalition rows ----------------------------------------------
+
+def dense_exact(f, x, bg):
+    """Exact Shapley scoring the full (2^m, B) coalition grid; the reference."""
+    m, B = x.size, bg.size
+    n_masks = 1 << m
+    bits = ((np.arange(n_masks)[:, None] >> np.arange(m)) & 1).astype(bool)
+    Z = np.where(bits[:, None, :], x[None, None, :], bg.rows[None, :, :])
+    v = f.predict_proba(Z.reshape(-1, m))[:, 1].reshape(-1, B).mean(axis=1)
+    sizes = bits.sum(axis=1)
+    fact = [math.factorial(i) for i in range(m + 1)]
+    weight = np.array([fact[s] * fact[m - 1 - s] / fact[m] for s in range(m)])
+    phi = np.empty(m)
+    all_masks = np.arange(n_masks)
+    for j in range(m):
+        without = all_masks[~bits[:, j]]
+        phi[j] = np.dot(weight[sizes[without]], v[without | (1 << j)] - v[without])
+    return phi, float(v[0])
+
+
+def _mc_perms(m, n_perms, seed):
+    rng = np.random.default_rng(seed)
+    return rng.permuted(np.tile(np.arange(m), (n_perms, 1)), axis=1)
+
+
+def dense_mc(f, x, bg, n_perms, seed):
+    """Permutation Shapley scoring every (P, m+1, B) chain row; the reference."""
+    m, B = x.size, bg.size
+    perms = _mc_perms(m, n_perms, seed)
+    Z = np.empty((n_perms, m + 1, B, m))
+    Z[:, 0] = bg.rows
+    pidx = np.arange(n_perms)
+    for step in range(1, m + 1):
+        Z[:, step] = Z[:, step - 1]
+        col = perms[:, step - 1]
+        Z[pidx, step, :, col] = x[col][:, None]
+    v = f.predict_proba(Z.reshape(-1, m))[:, 1].reshape(n_perms, m + 1, B).mean(axis=2)
+    phi = np.zeros(m)
+    np.add.at(phi, perms.ravel(), (v[:, 1:] - v[:, :-1]).ravel())
+    return phi / n_perms, float(v[0, 0])
+
+
+def _mixed_case(m, n_bg, seed):
+    """A mixed-type forest, a query, and a background that shares many of
+    the query's values (whole columns, scattered cells, a duplicated row)."""
+    kinds = tuple("cont" if j % 3 else 2 + j % 4 for j in range(m))
+    data = generate_synth(SynthSpec(m_controllable=m, m_uncontrollable=0, n_rows=300,
+                                    seed=seed, kinds=kinds))
+    model = train_forest(data, ForestParams(n_trees=8, max_depth=6, seed=seed))
+    rng = np.random.default_rng(seed)
+    x = data.X[0].copy()
+    rows = data.X[rng.choice(np.arange(1, data.n_rows), size=n_bg, replace=False)].copy()
+    rows[:, ::3] = x[::3]  # pinned columns, as uncontrollables are in a neighborhood
+    agree = rng.random(rows.shape) < 0.3
+    rows[agree] = np.broadcast_to(x, rows.shape)[agree]
+    if n_bg > 2:
+        rows[2] = rows[1]
+    return model, x, Background(rows)
+
+
+@pytest.mark.parametrize("m, n_bg", [(3, 7), (3, 1), (9, 12), (9, 1), (70, 5)])
+def test_mc_bit_equal_to_dense_reference(m, n_bg):
+    model, x, bg = _mixed_case(m, n_bg, seed=m + n_bg)
+    n_perms = 4 if m == 70 else 30
+    got = shapley_mc(model, x, bg, n_perms=n_perms, seed=11)
+    want_phi, want_phi0 = dense_mc(model, x, bg, n_perms, seed=11)
+    assert np.array_equal(got.phi, want_phi)
+    assert got.phi0 == want_phi0
+
+
+@pytest.mark.parametrize("m, n_bg", [(3, 7), (3, 1), (9, 12), (9, 1)])
+def test_exact_bit_equal_to_dense_reference(m, n_bg):
+    model, x, bg = _mixed_case(m, n_bg, seed=m + n_bg)
+    got = shapley_exact(model, x, bg)
+    want_phi, want_phi0 = dense_exact(model, x, bg)
+    assert np.array_equal(got.phi, want_phi)
+    assert got.phi0 == want_phi0
+
+
+def test_signed_zero_counts_as_a_different_value():
+    # 0.0 == -0.0, but a model may still tell them apart, so a background
+    # holding -0.0 where the query holds 0.0 must still be overwritten
+    f = ProbModel(lambda X: 0.25 + 0.5 * np.signbit(X[:, 0]) + 0.1 * X[:, 1])
+    x = np.array([0.0, 0.6])
+    bg = Background(np.array([[-0.0, 0.2], [-0.0, 0.6], [0.0, 0.1]]))
+    got = shapley_exact(f, x, bg)
+    want_phi, want_phi0 = dense_exact(f, x, bg)
+    assert np.array_equal(got.phi, want_phi) and got.phi0 == want_phi0
+    got = shapley_mc(f, x, bg, n_perms=5, seed=2)
+    want_phi, want_phi0 = dense_mc(f, x, bg, 5, seed=2)
+    assert np.array_equal(got.phi, want_phi) and got.phi0 == want_phi0
+
+
+class CountingModel:
+    """Records every row it scores."""
+
+    def __init__(self, model):
+        self.model = model
+        self.seen = []
+
+    def predict_proba(self, X):
+        self.seen.append(np.array(X, copy=True))
+        return self.model.predict_proba(X)
+
+
+def _assert_scored_once(counter, x, bg, pinned):
+    """The scored rows are exactly one row per distinct (b, S & D_b) key."""
+    differs = bg.rows != x
+    keys = {(b, (pinned[c] & differs[b]).tobytes())
+            for c in range(pinned.shape[0]) for b in range(bg.size)}
+    want = np.array([np.where(np.frombuffer(k, dtype=bool), x, bg.rows[b]) for b, k in keys])
+    seen = np.concatenate(counter.seen)
+    assert seen.shape[0] == len(keys) <= pinned.shape[0] * bg.size
+    sort = lambda a: a[np.lexsort(a.T[::-1])]
+    assert np.array_equal(sort(seen), sort(want))
+
+
+@pytest.mark.parametrize("m, n_bg", [(3, 7), (9, 12), (9, 1)])
+def test_each_distinct_coalition_row_scored_once(m, n_bg):
+    model, x, bg = _mixed_case(m, n_bg, seed=m + n_bg)
+    counter = CountingModel(model)
+    shapley_exact(counter, x, bg)
+    bits = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(bool)
+    _assert_scored_once(counter, x, bg, bits)
+
+    counter = CountingModel(model)
+    shapley_mc(counter, x, bg, n_perms=20, seed=4)
+    perms = _mc_perms(m, 20, seed=4)
+    rank = np.argsort(perms, axis=1)
+    pinned = (rank[:, None, :] < np.arange(m + 1)[None, :, None]).reshape(-1, m)
+    _assert_scored_once(counter, x, bg, pinned)
+
+
 # --- LIME-style baseline ----------------------------------------------------
 
 def test_lime_constant_model_gives_zero_coefficients():

@@ -1,6 +1,10 @@
 """End-to-end local/global attribution pipeline."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -9,11 +13,12 @@ from cafa.bench import SynthSpec, generate_synth
 from cafa.distance import DistanceParams, delta_to_rows, estimate_proximity
 from cafa.errors import (
     CorrelationUndefinedError,
+    ExplanationError,
     GlobalFailureError,
     InvalidInputError,
     NeighborhoodImbalanceError,
 )
-from cafa.explain import derive_seed, shapley_mc
+from cafa.explain import Attribution, derive_seed, shapley_mc
 from cafa.forest import ForestParams, train_forest
 from cafa.pipeline import (
     CafaConfig,
@@ -59,6 +64,64 @@ def test_hard_zero_and_linearity(synth_task):
     assert res.attribution.method == "cafa"
     assert res.per_row_phi.shape == (res.explained_rows.size, data.schema.arity)
     assert 0.0 <= res.surrogate_quality <= 1.0
+
+
+def _leak_into(shapley_fn, col):
+    """Wrap a Shapley engine so it reports a small nonzero value on ``col``."""
+
+    def leaky(*args, **kwargs):
+        attr = shapley_fn(*args, **kwargs)
+        phi = attr.phi.copy()
+        phi[col] = 1e-3
+        return Attribution(phi=phi, phi0=attr.phi0, method=attr.method, seed=attr.seed)
+
+    return leaky
+
+
+def test_nonzero_uncontrollable_raises(synth_task, monkeypatch):
+    data, model = synth_task
+    col = int(data.schema.uncontrollable_idx[0])
+    monkeypatch.setattr("cafa.pipeline.shapley_mc", _leak_into(shapley_mc, col))
+    with pytest.raises(ExplanationError, match="uncontrollable"):
+        cafa_local(data.X[10], model, data.schema, CafaConfig(**FAST), data=data)
+
+
+_LEAK_UNDER_O = textwrap.dedent(f"""
+    import sys
+    if __debug__:
+        sys.exit("assertions are enabled; this check must run under python -O")
+    import cafa.pipeline as pipeline
+    from cafa.bench import SynthSpec, generate_synth
+    from cafa.errors import ExplanationError
+    from cafa.forest import ForestParams, train_forest
+    from tests.test_pipeline import _leak_into
+
+    data = generate_synth(SynthSpec(
+        m_controllable=4, m_uncontrollable=2, n_rows=500, seed=0,
+        rule_features=(0, 2, 3, 4), rule_weights=(1.0, 0.8, 0.6, 0.9),
+    ))
+    model = train_forest(data, ForestParams(n_trees=10, max_depth=6, seed=0))
+    col = int(data.schema.uncontrollable_idx[0])
+    pipeline.shapley_mc = _leak_into(pipeline.shapley_mc, col)
+    try:
+        pipeline.cafa_local(data.X[10], model, data.schema,
+                            pipeline.CafaConfig(**{FAST!r}), data=data)
+    except ExplanationError as exc:
+        sys.exit(0 if "uncontrollable" in str(exc) else f"wrong error: {{exc}}")
+    sys.exit("a nonzero uncontrollable attribution passed silently")
+""")
+
+
+def test_nonzero_uncontrollable_raises_under_optimize():
+    # ``python -O`` strips assert statements; the zero check must survive it
+    import cafa
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cafa.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, root]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _LEAK_UNDER_O],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_per_row_recomputation_oracle(synth_task):
