@@ -238,12 +238,15 @@ def standard_shap(
     cfg: CafaConfig | None = None,
     data: Dataset | None = None,
 ) -> Attribution:
-    """Ordinary full-model Shapley attribution (no controllability masking)."""
+    """Ordinary full-model Shapley attribution (no controllability masking)
+    against ``cfg.background_size`` rows drawn from ``data``."""
     cfg = cfg or CafaConfig()
     x = validate_instance(schema, x)
     if data is None:
         raise InvalidInputError("standard shap needs a dataset to draw background rows from")
-    bg = Background.from_dataset(data, size=100, seed=derive_seed(cfg.seed, _TAG_SHAP_BG))
+    bg = Background.from_dataset(
+        data, size=cfg.background_size, seed=derive_seed(cfg.seed, _TAG_SHAP_BG)
+    )
     m = len(schema.features)
     if m <= cfg.exact_limit:
         return shapley_exact(f, x, bg, exact_limit=cfg.exact_limit)

@@ -229,6 +229,15 @@ def test_standard_shap_paths(synth_task):
         standard_shap(x, model, data.schema, CafaConfig(seed=1))  # background needs data
 
 
+def test_standard_shap_uses_background_size(synth_task):
+    data, model = synth_task
+    x = data.X[0]
+    small = standard_shap(x, model, data.schema, CafaConfig(seed=1, background_size=10), data=data)
+    full = standard_shap(x, model, data.schema, CafaConfig(seed=1, background_size=100), data=data)
+    assert not np.array_equal(small.phi, full.phi)
+    assert small.phi0 != full.phi0
+
+
 def test_resolve_pi(synth_task):
     data, _ = synth_task
     assert resolve_pi(CafaConfig(pi=0.4), data.schema, None) == 0.4
