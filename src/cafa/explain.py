@@ -106,7 +106,7 @@ def _coalition_means(f, x: np.ndarray, bg: Background, pinned: np.ndarray) -> np
     """
     C, B = pinned.shape[0], bg.size
     differs = bg.rows.view(np.int64) != x.view(np.int64)
-    keys = (np.packbits(pinned, axis=1)[:, None, :] & np.packbits(differs, axis=1)[None, :, :])
+    keys = np.packbits(pinned, axis=1)[:, None, :] & np.packbits(differs, axis=1)[None, :, :]
     keys = keys.reshape(C * B, -1)
     cols = [keys[:, j] for j in range(keys.shape[1])]
     cols.append(np.tile(np.arange(B), C))
@@ -117,11 +117,11 @@ def _coalition_means(f, x: np.ndarray, bg: Background, pinned: np.ndarray) -> np
     for col in cols:
         s = col[order]
         starts[1:] |= s[1:] != s[:-1]
-    cell = np.empty(order.size, dtype=np.intp)
-    cell[order] = np.cumsum(starts) - 1
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
     first = order[starts]
     rows = np.where(pinned[first // B], x, bg.rows[first % B])
-    return _prob1(f, rows)[cell].reshape(C, B).mean(axis=1)
+    return _prob1(f, rows)[group].reshape(C, B).mean(axis=1)
 
 
 def coalition_value(f, x, coalition, bg: Background) -> float:
@@ -183,16 +183,14 @@ def shapley_mc(f, x, bg: Background, n_perms: int = 2000, seed: int = 0) -> Attr
 
     phi = np.zeros(m, dtype=np.float64)
     phi0 = None
-    steps = np.arange(m + 1)
     perms_per_chunk = max(1, _BATCH_ROWS // ((m + 1) * B))
     for start in range(0, n_perms, perms_per_chunk):
         chunk = perms[start : start + perms_per_chunk]
-        P = chunk.shape[0]
-        # Step s of a chain pins the first s columns of its permutation.
-        rank = np.empty_like(chunk)
-        rank[np.arange(P)[:, None], chunk] = steps[:m]
-        pinned = rank[:, None, :] < steps[None, :, None]
-        v = _coalition_means(f, x, bg, pinned.reshape(-1, m)).reshape(P, m + 1)
+        # Step s of a chain pins the first s columns of its permutation,
+        # the columns whose rank in it is below s.
+        rank = np.argsort(chunk, axis=1)
+        pinned = rank[:, None, :] < np.arange(m + 1)[None, :, None]
+        v = _coalition_means(f, x, bg, pinned.reshape(-1, m)).reshape(-1, m + 1)
         if phi0 is None:
             phi0 = float(v[0, 0])
         np.add.at(phi, chunk.ravel(), (v[:, 1:] - v[:, :-1]).ravel())

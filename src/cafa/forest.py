@@ -59,12 +59,14 @@ class Tree:
         self.feature = np.asarray(feature, dtype=np.int64)
         self.is_cat = np.asarray(is_cat, dtype=bool)
         self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
+        # One interleaved child table, node i's children at 2 * i and
+        # 2 * i + 1, so traversal steps with a single gather.
+        self._children = np.stack(
+            [np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64)], axis=1
+        ).ravel()
+        self.left = self._children[0::2]
+        self.right = self._children[1::2]
         self.leaf_prob = np.asarray(leaf_prob, dtype=np.float64)
-        self._gather = np.maximum(self.feature, 0)
-        # Node i's left child at 2 * i, its right child at 2 * i + 1.
-        self._children = np.stack([self.left, self.right], axis=1).ravel()
         self.depth = self._measure_depth()
 
     def _measure_depth(self) -> int:
@@ -102,9 +104,10 @@ class Tree:
         n, m = X.shape
         flat = X.ravel()
         row_start = np.arange(0, n * m, m)
+        gather = np.maximum(self.feature, 0)
         node = np.zeros(n, dtype=np.int64)
         for _ in range(self.depth):
-            vals = flat.take(row_start + self._gather.take(node))
+            vals = flat.take(row_start + gather.take(node))
             thr = self.threshold.take(node)
             go_left = np.where(self.is_cat.take(node), vals == thr, vals <= thr)
             node = self._children.take(2 * node + ~go_left)

@@ -203,9 +203,12 @@ def cafa_local(
     # Holding uncontrollables fixed everywhere guarantees exact zeros there;
     # a raise, not an assert, so the check survives ``python -O``.
     unc = schema.uncontrollable_idx
-    if np.any(phi[unc] != 0.0):
-        bad = [schema.names[j] for j in unc[phi[unc] != 0.0]]
-        raise ExplanationError(f"uncontrollable features got nonzero attribution: {bad}")
+    leaked = unc[phi[unc] != 0.0]
+    if leaked.size:
+        raise ExplanationError(
+            f"uncontrollable features got nonzero attribution: "
+            f"{[schema.names[j] for j in leaked]}"
+        )
 
     attribution = Attribution(phi=phi, phi0=phi0, method="cafa", seed=cfg.seed)
     comparison = None

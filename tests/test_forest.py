@@ -40,6 +40,26 @@ def test_stump_oracle_categorical():
         assert np.array_equal(stump.predict_proba(x[None, :])[0], want)
 
 
+def _walk(tree, x):
+    """Leaf reached by one row, following the split rules node by node."""
+    node = 0
+    while tree.feature[node] >= 0:
+        v, thr = x[tree.feature[node]], tree.threshold[node]
+        go_left = v == thr if tree.is_cat[node] else v <= thr
+        node = tree.left[node] if go_left else tree.right[node]
+    return node
+
+
+def test_apply_matches_row_by_row_walk():
+    kinds = ("cont", 3, "cont", 5, 2, "cont")
+    data = generate_synth(SynthSpec(6, 0, 300, seed=4, kinds=kinds))
+    model = train_forest(data, ForestParams(n_trees=5, max_depth=6, seed=4))
+    X = np.asfortranarray(data.X[:80])  # apply must not assume C order
+    for tree in model.trees:
+        want = [_walk(tree, x) for x in X]
+        assert np.array_equal(tree.apply(X), want)
+
+
 def test_forest_probability_is_mean_of_trees():
     t1 = Tree.stump(0, 0.5, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     t2 = Tree.leaf(np.array([0.25, 0.75]))
