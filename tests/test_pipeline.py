@@ -34,8 +34,7 @@ from cafa.schema import Continuous, Dataset, Feature, FeatureSchema
 from .conftest import ProbModel, make_schema
 
 
-@pytest.fixture(scope="module")
-def synth_task():
+def _make_synth_task():
     spec = SynthSpec(
         m_controllable=4, m_uncontrollable=2, n_rows=500, seed=0,
         rule_features=(0, 2, 3, 4), rule_weights=(1.0, 0.8, 0.6, 0.9),
@@ -43,6 +42,11 @@ def synth_task():
     data = generate_synth(spec)
     model = train_forest(data, ForestParams(n_trees=40, max_depth=6, seed=0))
     return data, model
+
+
+@pytest.fixture(scope="module")
+def synth_task():
+    return _make_synth_task()
 
 
 FAST = dict(k=40, pi=0.5, n_perms=5, background_size=30, seed=3)
@@ -86,28 +90,21 @@ def test_nonzero_uncontrollable_raises(synth_task, monkeypatch):
         cafa_local(data.X[10], model, data.schema, CafaConfig(**FAST), data=data)
 
 
-_LEAK_UNDER_O = textwrap.dedent(f"""
+_LEAK_UNDER_O = textwrap.dedent("""
     import sys
     if __debug__:
         sys.exit("assertions are enabled; this check must run under python -O")
     import cafa.pipeline as pipeline
-    from cafa.bench import SynthSpec, generate_synth
     from cafa.errors import ExplanationError
-    from cafa.forest import ForestParams, train_forest
-    from tests.test_pipeline import _leak_into
+    from tests.test_pipeline import FAST, _leak_into, _make_synth_task
 
-    data = generate_synth(SynthSpec(
-        m_controllable=4, m_uncontrollable=2, n_rows=500, seed=0,
-        rule_features=(0, 2, 3, 4), rule_weights=(1.0, 0.8, 0.6, 0.9),
-    ))
-    model = train_forest(data, ForestParams(n_trees=10, max_depth=6, seed=0))
+    data, model = _make_synth_task()
     col = int(data.schema.uncontrollable_idx[0])
     pipeline.shapley_mc = _leak_into(pipeline.shapley_mc, col)
     try:
-        pipeline.cafa_local(data.X[10], model, data.schema,
-                            pipeline.CafaConfig(**{FAST!r}), data=data)
+        pipeline.cafa_local(data.X[10], model, data.schema, pipeline.CafaConfig(**FAST), data=data)
     except ExplanationError as exc:
-        sys.exit(0 if "uncontrollable" in str(exc) else f"wrong error: {{exc}}")
+        sys.exit(0 if "uncontrollable" in str(exc) else f"wrong error: {exc}")
     sys.exit("a nonzero uncontrollable attribution passed silently")
 """)
 
