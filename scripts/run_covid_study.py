@@ -52,8 +52,7 @@ def main():
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_global_csv(out / "attribution.csv", names, res.mean_phi, res.mean_abs_phi)
-    per_instance = np.stack([r.attribution.phi for _, r in res.per_instance])
-    render_global_charts(out, names, res.mean_phi, per_instance)
+    render_global_charts(out, names, res.mean_phi, res.phis)
     print(f"reports in {out}/")
 
 

@@ -12,7 +12,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,19 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
-from .errors import CafaError, IngestionError, InvalidInputError, UsageError
-from .experiment import run_experiment
-from .explain import derive_seed, global_explanation, lime_explain
+from .errors import CafaError, InvalidInputError, UsageError
+from .experiment import global_meta, run_experiment, sample_rows
+from .explain import derive_seed, lime_explain
 from .forest import ForestParams, RandomForest, accuracy, train_forest
 from .pipeline import CafaConfig, cafa_global, cafa_local, compare_with_shap, standard_shap
-from .reports import (
-    render_global_charts,
-    render_local_charts,
-    write_attribution_csv,
-    write_attribution_json,
-    write_global_csv,
-    write_run_meta,
-)
+from .reports import write_attribution_csv, write_attribution_json, write_global_run, write_run
 from .schema import (
     IngestionSpec,
     dataset_to_raw_csv,
@@ -120,10 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_model(path) -> RandomForest:
-    return RandomForest.load(path)
-
-
 def _resolve_instance(arg: str, data, model: RandomForest) -> np.ndarray:
     """Row index into the dataset, or a JSON file of raw feature values."""
     try:
@@ -144,7 +132,10 @@ def _resolve_instance(arg: str, data, model: RandomForest) -> np.ndarray:
     return encode_instance(model.schema, model.norm_params, raw)
 
 
-def _check_model_matches(model: RandomForest, data):
+def _load_data_and_model(args):
+    """The dataset named by ``--data``/``--spec`` and the ``--model`` trained on its schema."""
+    data = load_csv(args.data, IngestionSpec.from_json(args.spec))
+    model = RandomForest.load(args.model)
     if model.schema is None:
         raise UsageError("model file carries no schema; retrain with this toolkit")
     if tuple(model.schema.names) != tuple(data.schema.names):
@@ -152,6 +143,7 @@ def _check_model_matches(model: RandomForest, data):
             "model schema does not match the dataset "
             f"({list(model.schema.names)[:3]}... vs {list(data.schema.names)[:3]}...)"
         )
+    return data, model
 
 
 def _config_from_args(args) -> CafaConfig:
@@ -193,17 +185,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    spec = IngestionSpec.from_json(args.spec)
-    data = load_csv(args.data, spec)
-    model = _load_model(args.model)
-    _check_model_matches(model, data)
+    data, model = _load_data_and_model(args)
     x = _resolve_instance(args.instance, data, model)
     x = validate_instance(data.schema, x)
     cfg = _config_from_args(args)
     names = data.schema.names
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     meta = {
         "command": f"explain.{args.method}",
         "instance": args.instance,
@@ -234,56 +221,26 @@ def cmd_explain(args) -> int:
         )
         meta["n_samples"] = args.lime_samples
 
-    write_attribution_csv(out_dir / "attribution.csv", attr, names)
-    write_attribution_json(out_dir / "attribution.json", attr, names)
-    render_local_charts(out_dir, attr, names, per_row_phi=per_row, timestamp=args.timestamp)
-    write_run_meta(out_dir / "run_meta.json", meta)
+    out_dir = write_run(
+        args.out_dir, attr, names, meta, per_row_phi=per_row, timestamp=args.timestamp
+    )
     print(f"{args.method} attribution written to {out_dir}")
     return 0
 
 
 def cmd_global(args) -> int:
-    spec = IngestionSpec.from_json(args.spec)
-    data = load_csv(args.data, spec)
-    model = _load_model(args.model)
-    _check_model_matches(model, data)
+    data, model = _load_data_and_model(args)
     cfg = _config_from_args(args)
-    names = data.schema.names
-    if not 1 <= args.sample <= data.n_rows:
-        raise UsageError(f"--sample must be in 1..{data.n_rows}")
-    rng = np.random.default_rng(derive_seed(args.seed, 100))
-    sample_idx = np.sort(rng.choice(data.n_rows, size=args.sample, replace=False))
+    sample_idx = sample_rows(data.n_rows, args.sample, args.seed)
 
     res = cafa_global(data.X[sample_idx], model, data.schema, cfg, data=data)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_global_csv(out_dir / "attribution.csv", names, res.mean_phi, res.mean_abs_phi)
-    doc = {
-        "method": "cafa-global",
-        "n_explained": res.n_explained,
-        "skipped": [[int(i), msg] for i, msg in res.skipped],
-        "pi": res.pi,
-        "seed": args.seed,
-        "phi": [
-            {"feature": n, "mean": float(v), "mean_abs": float(a)}
-            for n, v, a in zip(names, res.mean_phi, res.mean_abs_phi)
-        ],
-    }
-    with open(out_dir / "attribution.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    per_instance_phi = np.stack([r.attribution.phi for _, r in res.per_instance])
-    render_global_charts(out_dir, names, res.mean_phi, per_instance_phi, timestamp=args.timestamp)
-    write_run_meta(
-        out_dir / "run_meta.json",
-        {
-            "command": "global",
-            "sample_rows": [int(i) for i in sample_idx],
-            "config": cfg.to_dict(),
-            "pi": res.pi,
-            "n_explained": res.n_explained,
-            "skipped": [[int(i), msg] for i, msg in res.skipped],
-        },
+    out_dir = write_global_run(
+        args.out_dir,
+        res,
+        data.schema.names,
+        {"method": "cafa-global", "skipped": res.skipped, "pi": res.pi, "seed": args.seed},
+        global_meta("global", sample_idx, cfg, res),
+        timestamp=args.timestamp,
     )
     print(f"global attribution over {res.n_explained} instances written to {out_dir} "
           f"({len(res.skipped)} skipped)")
@@ -291,32 +248,16 @@ def cmd_global(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    spec = IngestionSpec.from_json(args.spec)
-    data = load_csv(args.data, spec)
-    model = _load_model(args.model)
-    _check_model_matches(model, data)
+    data, model = _load_data_and_model(args)
     x = _resolve_instance(args.instance, data, model)
     cfg = _config_from_args(args)
     names = data.schema.names
 
     res = compare_with_shap(x, model, data.schema, cfg, data=data)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_attribution_csv(out_dir / "attribution.csv", res.cafa.attribution, names)
-    write_attribution_json(
-        out_dir / "attribution.json",
+    out_dir = write_run(
+        args.out_dir,
         res.cafa.attribution,
         names,
-        extra={"pearson_controllable": res.pearson_controllable},
-    )
-    write_attribution_csv(out_dir / "shap.csv", res.shap, names)
-    write_attribution_json(out_dir / "shap.json", res.shap, names)
-    render_local_charts(
-        out_dir, res.cafa.attribution, names,
-        per_row_phi=res.cafa.per_row_phi, timestamp=args.timestamp,
-    )
-    write_run_meta(
-        out_dir / "run_meta.json",
         {
             "command": "compare",
             "instance": args.instance,
@@ -325,7 +266,12 @@ def cmd_compare(args) -> int:
             "pearson_controllable": res.pearson_controllable,
             "controllable": [names[j] for j in data.schema.controllable_idx],
         },
+        per_row_phi=res.cafa.per_row_phi,
+        extra={"pearson_controllable": res.pearson_controllable},
+        timestamp=args.timestamp,
     )
+    write_attribution_csv(out_dir / "shap.csv", res.shap, names)
+    write_attribution_json(out_dir / "shap.json", res.shap, names)
     print(f"pearson over controllable features: {res.pearson_controllable:+.4f} "
           f"(reports in {out_dir})")
     return 0

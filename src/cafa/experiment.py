@@ -28,18 +28,21 @@ from . import bench
 from .errors import IngestionError, UsageError
 from .explain import derive_seed, global_explanation
 from .forest import ForestParams, accuracy, train_forest
-from .pipeline import CafaConfig, cafa_global, cafa_local, standard_shap
-from .reports import (
-    render_global_charts,
-    render_local_charts,
-    write_attribution_csv,
-    write_attribution_json,
-    write_global_csv,
-    write_run_meta,
-)
+from .pipeline import CafaConfig, GlobalCafaResult, cafa_global, cafa_local, standard_shap
+from .reports import write_global_run, write_run, write_run_meta
 from .schema import IngestionSpec, load_csv
 
 REQUIRED_KEYS = ("dataset", "model", "cafa", "sample", "out_dir")
+
+
+def _build(cls, section: str, fields, **defaults):
+    """``cls(**defaults, **fields)``; a non-object section or a bad key is a usage error."""
+    if not isinstance(fields, dict):
+        raise UsageError(f"{section} config must be a JSON object, got {fields!r}")
+    try:
+        return cls(**{**defaults, **fields})
+    except TypeError as exc:
+        raise UsageError(f"bad {section} config: {exc}") from None
 
 
 def load_dataset(ds_cfg: dict):
@@ -57,22 +60,37 @@ def load_dataset(ds_cfg: dict):
         for key in ("kinds", "rule_features", "rule_weights"):
             if key in fields and fields[key] is not None:
                 fields[key] = tuple(fields[key])
-        return bench.generate_synth(bench.SynthSpec(**fields))
+        return bench.generate_synth(_build(bench.SynthSpec, "dataset", fields))
     raise UsageError(
         f"dataset.kind must be one of csv|synth|covid_preset|lung_preset, got {kind!r}"
     )
 
 
-def _cafa_config(doc: dict, seed: int) -> CafaConfig:
-    fields = dict(doc)
-    sp = fields.pop("surrogate_params", None)
-    if sp is not None:
-        fields["surrogate_params"] = ForestParams(**sp)
-    fields.setdefault("seed", seed)
-    try:
-        return CafaConfig(**fields)
-    except TypeError as exc:
-        raise UsageError(f"bad cafa config: {exc}") from None
+def _cafa_config(doc, seed: int) -> CafaConfig:
+    if isinstance(doc, dict) and doc.get("surrogate_params") is not None:
+        sp = _build(ForestParams, "cafa.surrogate_params", doc["surrogate_params"])
+        doc = {**doc, "surrogate_params": sp}
+    return _build(CafaConfig, "cafa", doc, seed=seed)
+
+
+def sample_rows(n_rows: int, size: int, seed: int) -> np.ndarray:
+    """Sorted indices of ``size`` distinct rows, drawn from ``seed``'s sample stream."""
+    if not 1 <= size <= n_rows:
+        raise UsageError(f"sample size must be in 1..{n_rows}, got {size}")
+    rng = np.random.default_rng(derive_seed(seed, 100))
+    return np.sort(rng.choice(n_rows, size=size, replace=False))
+
+
+def global_meta(command: str, sample_idx, cfg: CafaConfig, res: GlobalCafaResult) -> dict:
+    """``run_meta.json`` of a ``cafa_global`` run over the sampled rows ``sample_idx``."""
+    return {
+        "command": command,
+        "sample_rows": [int(i) for i in sample_idx],
+        "config": cfg.to_dict(),
+        "pi": res.pi,
+        "n_explained": res.n_explained,
+        "skipped": res.skipped,
+    }
 
 
 def run_experiment(config_path, timestamp: bool = False) -> Path:
@@ -98,7 +116,7 @@ def run_experiment(config_path, timestamp: bool = False) -> Path:
     schema = data.schema
     names = schema.names
 
-    model_params = ForestParams(**{**doc["model"], "seed": doc["model"].get("seed", seed)})
+    model_params = _build(ForestParams, "model", doc["model"], seed=seed)
     model = train_forest(data, model_params)
     train_acc = accuracy(model, data)
 
@@ -113,24 +131,10 @@ def run_experiment(config_path, timestamp: bool = False) -> Path:
 
     # Local pass: both methods on the named instance.
     local_res = cafa_local(x, model, schema, cfg, data=data)
-    ldir = out_dir / "local" / "cafa"
-    ldir.mkdir(parents=True, exist_ok=True)
-    write_attribution_csv(ldir / "attribution.csv", local_res.attribution, names)
-    write_attribution_json(
-        ldir / "attribution.json",
+    write_run(
+        out_dir / "local" / "cafa",
         local_res.attribution,
         names,
-        extra={
-            "zeros_enforced": [names[j] for j in schema.uncontrollable_idx],
-            "neighborhood": {**local_res.neighborhood.stats, "pi": local_res.pi, "k": cfg.k},
-            "surrogate_accuracy": local_res.surrogate_quality,
-        },
-    )
-    render_local_charts(
-        ldir, local_res.attribution, names, per_row_phi=local_res.per_row_phi, timestamp=timestamp
-    )
-    write_run_meta(
-        ldir / "run_meta.json",
         {
             "command": "experiment.local.cafa",
             "instance": instance_idx,
@@ -139,66 +143,52 @@ def run_experiment(config_path, timestamp: bool = False) -> Path:
             "neighborhood_stats": local_res.neighborhood.stats,
             "surrogate_accuracy": local_res.surrogate_quality,
         },
+        per_row_phi=local_res.per_row_phi,
+        extra={
+            "zeros_enforced": [names[j] for j in schema.uncontrollable_idx],
+            "neighborhood": {**local_res.neighborhood.stats, "pi": local_res.pi, "k": cfg.k},
+            "surrogate_accuracy": local_res.surrogate_quality,
+        },
+        timestamp=timestamp,
     )
 
-    shap_attr = standard_shap(x, model, schema, cfg, data=data)
-    sdir = out_dir / "local" / "shap"
-    sdir.mkdir(parents=True, exist_ok=True)
-    write_attribution_csv(sdir / "attribution.csv", shap_attr, names)
-    write_attribution_json(sdir / "attribution.json", shap_attr, names)
-    render_local_charts(sdir, shap_attr, names, per_row_phi=None, timestamp=timestamp)
-    write_run_meta(
-        sdir / "run_meta.json",
+    write_run(
+        out_dir / "local" / "shap",
+        standard_shap(x, model, schema, cfg, data=data),
+        names,
         {"command": "experiment.local.shap", "instance": instance_idx, "config": cfg.to_dict()},
+        timestamp=timestamp,
     )
 
     # Global pass over a seeded sample of training rows.
     n_sample = int(doc["sample"])
-    if not 1 <= n_sample <= data.n_rows:
-        raise UsageError(f"sample must be in 1..{data.n_rows}, got {n_sample}")
-    rng = np.random.default_rng(derive_seed(seed, 100))
-    sample_idx = np.sort(rng.choice(data.n_rows, size=n_sample, replace=False))
-
+    sample_idx = sample_rows(data.n_rows, n_sample, seed)
     gres = cafa_global(data.X[sample_idx], model, schema, cfg, data=data)
-    gdir = out_dir / "global" / "cafa"
-    gdir.mkdir(parents=True, exist_ok=True)
-    write_global_csv(gdir / "attribution.csv", names, gres.mean_phi, gres.mean_abs_phi)
-    per_instance_phi = np.stack([r.attribution.phi for _, r in gres.per_instance])
-    _write_global_json(gdir / "attribution.json", "cafa", names, gres.mean_phi, gres.mean_abs_phi,
-                       n_explained=gres.n_explained, skipped=list(gres.skipped), seed=seed)
-    render_global_charts(gdir, names, gres.mean_phi, per_instance_phi, timestamp=timestamp)
-    write_run_meta(
-        gdir / "run_meta.json",
-        {
-            "command": "experiment.global.cafa",
-            "sample_rows": [int(i) for i in sample_idx],
-            "config": cfg.to_dict(),
-            "pi": gres.pi,
-            "n_explained": gres.n_explained,
-            "skipped": [[int(i), msg] for i, msg in gres.skipped],
-        },
+    global_doc = {"aggregate": "mean over instances", "seed": seed}
+    write_global_run(
+        out_dir / "global" / "cafa",
+        gres,
+        names,
+        {"method": "cafa", "skipped": gres.skipped, **global_doc},
+        global_meta("experiment.global.cafa", sample_idx, cfg, gres),
+        timestamp=timestamp,
     )
 
     shap_attrs = []
     for pos, i in enumerate(sample_idx):
         sub = dataclasses.replace(cfg, seed=derive_seed(seed, 101, pos))
         shap_attrs.append(standard_shap(data.X[i], model, schema, sub, data=data))
-    sagg = global_explanation(shap_attrs)
-    sgdir = out_dir / "global" / "shap"
-    sgdir.mkdir(parents=True, exist_ok=True)
-    write_global_csv(sgdir / "attribution.csv", names, sagg.mean_phi, sagg.mean_abs_phi)
-    _write_global_json(sgdir / "attribution.json", "shap", names, sagg.mean_phi,
-                       sagg.mean_abs_phi, n_explained=sagg.n_instances, skipped=[], seed=seed)
-    render_global_charts(
-        sgdir, names, sagg.mean_phi, np.stack([a.phi for a in shap_attrs]), timestamp=timestamp
-    )
-    write_run_meta(
-        sgdir / "run_meta.json",
+    write_global_run(
+        out_dir / "global" / "shap",
+        global_explanation(shap_attrs),
+        names,
+        {"method": "shap", "skipped": [], **global_doc},
         {
             "command": "experiment.global.shap",
             "sample_rows": [int(i) for i in sample_idx],
             "config": cfg.to_dict(),
         },
+        timestamp=timestamp,
     )
 
     write_run_meta(
@@ -220,20 +210,3 @@ def run_experiment(config_path, timestamp: bool = False) -> Path:
         },
     )
     return out_dir
-
-
-def _write_global_json(path, method, names, mean_phi, mean_abs_phi, n_explained, skipped, seed):
-    doc = {
-        "method": method,
-        "aggregate": "mean over instances",
-        "n_explained": int(n_explained),
-        "skipped": [[int(i), str(m)] for i, m in skipped],
-        "seed": int(seed),
-        "phi": [
-            {"feature": n, "mean": float(v), "mean_abs": float(a)}
-            for n, v, a in zip(names, mean_phi, mean_abs_phi)
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -32,6 +32,11 @@ def derive_seed(base: int, *path: int) -> int:
     return int(np.random.SeedSequence(base, spawn_key=tuple(path)).generate_state(1)[0])
 
 
+def rank_by_magnitude(values) -> np.ndarray:
+    """Feature indices by decreasing ``|values|``, ties by feature index."""
+    return np.argsort(-np.abs(values), kind="stable")
+
+
 @dataclass(frozen=True)
 class Attribution:
     """Per-feature attributions for one explained instance."""
@@ -122,16 +127,6 @@ def _coalition_means(f, x: np.ndarray, bg: Background, pinned: np.ndarray) -> np
     first = order[starts]
     rows = np.where(pinned[first // B], x, bg.rows[first % B])
     return _prob1(f, rows)[group].reshape(C, B).mean(axis=1)
-
-
-def coalition_value(f, x, coalition, bg: Background) -> float:
-    """Mean prediction with ``coalition`` columns pinned to the query."""
-    x = np.asarray(x, dtype=np.float64)
-    Z = bg.rows.copy()
-    idx = np.asarray(coalition, dtype=np.intp)
-    if idx.size:
-        Z[:, idx] = x[idx]
-    return float(_prob1(f, Z).mean())
 
 
 def shapley_exact(f, x, bg: Background, exact_limit: int = 15) -> Attribution:
@@ -255,16 +250,19 @@ def lime_explain(
 
 @dataclass(frozen=True)
 class GlobalExplanation:
-    """Aggregate of per-instance attributions."""
+    """Aggregate of per-instance attributions; ``phis`` is one row per instance."""
 
+    phis: np.ndarray
     mean_phi: np.ndarray
     mean_abs_phi: np.ndarray
-    n_instances: int
+
+    @property
+    def n_instances(self) -> int:
+        return self.phis.shape[0]
 
     def ranking(self) -> np.ndarray:
         """Feature indices by decreasing mean absolute attribution."""
-        order = np.lexsort((np.arange(self.mean_abs_phi.size), -self.mean_abs_phi))
-        return order
+        return rank_by_magnitude(self.mean_abs_phi)
 
 
 def global_explanation(attributions) -> GlobalExplanation:
@@ -275,7 +273,7 @@ def global_explanation(attributions) -> GlobalExplanation:
     if phis.ndim != 2:
         raise InvalidInputError("attributions have inconsistent arity")
     return GlobalExplanation(
+        phis=phis,
         mean_phi=phis.mean(axis=0),
         mean_abs_phi=np.abs(phis).mean(axis=0),
-        n_instances=phis.shape[0],
     )

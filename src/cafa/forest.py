@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,8 @@ class ForestParams:
     def __post_init__(self):
         if self.n_trees < 1 or self.max_depth < 1 or self.min_leaf < 1:
             raise InvalidInputError("forest params must be positive")
+        if self.features_per_split is not None and self.features_per_split < 1:
+            raise InvalidInputError("features_per_split must be >= 1 when given")
 
     def resolve_mtry(self, m: int) -> int:
         k = self.features_per_split or math.ceil(math.sqrt(m))

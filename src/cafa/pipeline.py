@@ -27,6 +27,7 @@ from .errors import (
 from .explain import (
     Attribution,
     Background,
+    GlobalExplanation,
     derive_seed,
     global_explanation,
     shapley_exact,
@@ -93,14 +94,6 @@ class CafaConfig:
 
 
 @dataclass(frozen=True)
-class ShapComparison:
-    """Standard Shapley attribution of the full model plus agreement score."""
-
-    shap: Attribution
-    pearson_controllable: float
-
-
-@dataclass(frozen=True)
 class CafaResult:
     """Local explanation output with enough state to audit it."""
 
@@ -112,7 +105,6 @@ class CafaResult:
     explained_rows: np.ndarray
     background: Background
     pi: float
-    shap_comparison: ShapComparison | None = None
 
 
 def resolve_pi(cfg: CafaConfig, schema: FeatureSchema, data: Dataset | None) -> float:
@@ -150,7 +142,6 @@ def cafa_local(
     schema: FeatureSchema,
     cfg: CafaConfig | None = None,
     data: Dataset | None = None,
-    with_shap: bool = False,
 ) -> CafaResult:
     """Explain one instance; uncontrollable features get exactly zero."""
     cfg = cfg or CafaConfig()
@@ -210,19 +201,8 @@ def cafa_local(
             f"{[schema.names[j] for j in leaked]}"
         )
 
-    attribution = Attribution(phi=phi, phi0=phi0, method="cafa", seed=cfg.seed)
-    comparison = None
-    if with_shap:
-        shap = standard_shap(x, f, schema, cfg, data)
-        comparison = ShapComparison(
-            shap=shap,
-            pearson_controllable=pearson(
-                attribution.phi[schema.controllable_idx],
-                shap.phi[schema.controllable_idx],
-            ),
-        )
     return CafaResult(
-        attribution=attribution,
+        attribution=Attribution(phi=phi, phi0=phi0, method="cafa", seed=cfg.seed),
         neighborhood=nb,
         surrogate=g,
         surrogate_quality=quality,
@@ -230,7 +210,6 @@ def cafa_local(
         explained_rows=idx,
         background=bg,
         pi=pi,
-        shap_comparison=comparison,
     )
 
 
@@ -285,31 +264,29 @@ def compare_with_shap(
         raise InvalidInputError(
             "comparison needs at least two controllable features to correlate over"
         )
-    result = cafa_local(x, f, schema, cfg, data=data, with_shap=True)
+    result = cafa_local(x, f, schema, cfg, data=data)
+    shap = standard_shap(x, f, schema, cfg, data)
+    ctrl = schema.controllable_idx
     return CompareResult(
         cafa=result,
-        shap=result.shap_comparison.shap,
-        pearson_controllable=result.shap_comparison.pearson_controllable,
+        shap=shap,
+        pearson_controllable=pearson(result.attribution.phi[ctrl], shap.phi[ctrl]),
     )
 
 
 @dataclass(frozen=True)
-class GlobalCafaResult:
-    """Dataset-level aggregate of per-instance runs."""
+class GlobalCafaResult(GlobalExplanation):
+    """Dataset-level aggregate of per-instance runs: ``per_instance`` holds
+    ``(position, CafaResult)`` pairs, ``skipped`` ``(position, message)``
+    pairs, and ``pi`` the proximity threshold every instance shared."""
 
-    mean_phi: np.ndarray
-    mean_abs_phi: np.ndarray
     per_instance: tuple
     skipped: tuple
     pi: float
 
     @property
     def n_explained(self) -> int:
-        return len(self.per_instance)
-
-    def ranking(self) -> np.ndarray:
-        order = np.lexsort((np.arange(self.mean_abs_phi.size), -self.mean_abs_phi))
-        return order
+        return self.n_instances
 
 
 def cafa_global(
@@ -344,8 +321,7 @@ def cafa_global(
         )
     agg = global_explanation([r.attribution for _, r in results])
     return GlobalCafaResult(
-        mean_phi=agg.mean_phi,
-        mean_abs_phi=agg.mean_abs_phi,
+        **vars(agg),
         per_instance=tuple(results),
         skipped=tuple(skipped),
         pi=pi,

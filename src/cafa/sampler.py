@@ -51,11 +51,6 @@ def perturb_batch(x, schema: FeatureSchema, rng, n: int, sigma: float = DEFAULT_
     return out
 
 
-def perturb_once(x, schema: FeatureSchema, rng, sigma: float = DEFAULT_SIGMA):
-    """Single perturbation; uncontrollable features pass through unchanged."""
-    return perturb_batch(x, schema, rng, 1, sigma)[0]
-
-
 def generate_neighborhood(
     x,
     f,

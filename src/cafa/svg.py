@@ -12,6 +12,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
+from .explain import rank_by_magnitude
+
 _FONT = "font-family='Helvetica,Arial,sans-serif'"
 _POS = "#d94801"
 _NEG = "#2171b5"
@@ -107,8 +109,7 @@ def summary_chart(
     if phis.ndim != 2 or phis.shape[1] != len(names) or not names:
         raise ValueError("per_instance_phi must be (n_instances, n_features)")
 
-    mean_abs = np.abs(phis).mean(axis=0)
-    order = np.lexsort((np.arange(len(names)), -mean_abs))
+    order = rank_by_magnitude(np.abs(phis).mean(axis=0))
 
     row_h = 26
     top = 44

@@ -1,4 +1,4 @@
-"""Shared helpers: small schemas, model fakes, random instances."""
+"""Shared helpers: small schemas, model fakes, random instances, a coalition-value reference."""
 
 from pathlib import Path
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from cafa.explain import Background, _prob1
 from cafa.schema import Categorical, Continuous, Feature, FeatureSchema
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
@@ -30,6 +31,16 @@ class ProbModel:
 
     def predict_classes(self, X):
         return np.argmax(self.predict_proba(X), axis=1)
+
+
+def coalition_value(f, x, coalition, bg: Background) -> float:
+    """Mean prediction with ``coalition`` columns pinned to the query."""
+    x = np.asarray(x, dtype=np.float64)
+    Z = bg.rows.copy()
+    idx = np.asarray(coalition, dtype=np.intp)
+    if idx.size:
+        Z[:, idx] = x[idx]
+    return float(_prob1(f, Z).mean())
 
 
 def make_schema(kinds, controllable=None, weights=None, names=None):

@@ -19,12 +19,12 @@ from cafa.bench import SynthSpec, covid_preset, generate_synth, train_test_split
 from cafa.cli import main as cli_main
 from cafa.distance import DistanceParams, delta, delta_to_rows, estimate_proximity
 from cafa.errors import NeighborhoodImbalanceError
-from cafa.explain import Background, coalition_value, derive_seed, shapley_exact
+from cafa.explain import Background, derive_seed, shapley_exact
 from cafa.forest import ForestParams, accuracy, train_forest
 from cafa.pipeline import CafaConfig, cafa_global, cafa_local, compare_with_shap, standard_shap
 from cafa.sampler import generate_neighborhood
 
-from .conftest import ProbModel, make_schema, random_instance
+from .conftest import ProbModel, coalition_value, make_schema, random_instance
 
 
 @contextlib.contextmanager

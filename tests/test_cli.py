@@ -134,8 +134,12 @@ def test_global_flow(ws, tmp_path):
                  "run_meta.json"):
         assert _read(a / name) == _read(b / name), name
     meta = _json(a / "run_meta.json")
+    assert set(meta) == {"command", "config", "n_explained", "pi", "sample_rows", "skipped"}
     assert len(meta["sample_rows"]) == 4
     doc = _json(a / "attribution.json")
+    # the CLI's global JSON records pi; the experiment's records "aggregate" instead
+    assert set(doc) == {"method", "n_explained", "phi", "pi", "seed", "skipped"}
+    assert set(doc["phi"][0]) == {"feature", "mean", "mean_abs"}
     assert doc["method"] == "cafa-global"
     assert doc["n_explained"] + len(doc["skipped"]) == 4
     assert {e["feature"]: e["mean_abs"] for e in doc["phi"]}["u0"] == 0.0
@@ -150,6 +154,13 @@ def test_compare_flow(ws, tmp_path):
                  "bars.svg", "summary.svg", "run_meta.json"):
         assert (out / name).exists(), name
     meta = _json(out / "run_meta.json")
+    assert set(meta) == {"command", "config", "controllable", "instance",
+                         "pearson_controllable", "pi"}
+    # no zeros_enforced / neighborhood / surrogate_accuracy: those are the experiment's
+    doc = _json(out / "attribution.json")
+    assert set(doc) == {"method", "pearson_controllable", "phi", "phi0", "seed"}
+    assert set(doc["phi"][0]) == {"feature", "value"}
+    assert set(_json(out / "shap.json")) == {"method", "phi", "phi0"}
     assert -1.0 <= meta["pearson_controllable"] <= 1.0
     assert meta["controllable"] == ["c0", "c1", "c2"]
 
@@ -203,16 +214,53 @@ def test_experiment_flow(tmp_path):
                         "run_meta.json"),
     }
     for sub, names in tree.items():
+        assert sorted(p.name for p in (a / sub).iterdir()) == sorted(names), sub
         for name in names:
-            assert (a / sub / name).exists(), f"{sub}/{name}"
             fa, fb = (a / sub / name).read_bytes(), (b / sub / name).read_bytes()
             assert fa == fb, f"{sub}/{name}"
+    global_doc = {"aggregate", "method", "n_explained", "phi", "seed", "skipped"}
+    keys = {  # attribution.json keys, run_meta.json keys
+        "local/cafa": (
+            {"method", "neighborhood", "phi", "phi0", "seed", "surrogate_accuracy",
+             "zeros_enforced"},
+            {"command", "config", "instance", "neighborhood_stats", "pi", "surrogate_accuracy"},
+        ),
+        "local/shap": ({"method", "phi", "phi0"}, {"command", "config", "instance"}),
+        "global/cafa": (
+            global_doc, {"command", "config", "n_explained", "pi", "sample_rows", "skipped"}
+        ),
+        "global/shap": (global_doc, {"command", "config", "sample_rows"}),
+    }
+    for sub, (doc_keys, meta_keys) in keys.items():
+        assert set(_json(a / sub / "attribution.json")) == doc_keys, sub
+        assert set(_json(a / sub / "run_meta.json")) == meta_keys, sub
+    assert set(_json(a / "run_meta.json")) == {"command", "config", "n_features", "n_rows",
+                                                "train_accuracy"}
     meta_a = _json(a / "run_meta.json")
     meta_b = _json(b / "run_meta.json")
     meta_a["config"]["out_dir"] = meta_b["config"]["out_dir"] = ""
     assert meta_a == meta_b
     doc = _json(a / "local" / "cafa" / "attribution.json")
     assert doc["zeros_enforced"] == ["u0"]
+
+
+@pytest.mark.parametrize(
+    "section, edit",
+    [
+        ("dataset", lambda d: d["dataset"].update(sed=2)),
+        ("model", lambda d: d["model"].update(max_dpeth=6)),
+        ("model", lambda d: d.update(model=[1])),
+        ("cafa.surrogate_params", lambda d: d["cafa"]["surrogate_params"].update(n_tres=20)),
+    ],
+    ids=["dataset-key", "model-key", "model-not-object", "surrogate-key"],
+)
+def test_experiment_bad_section_exit_2(tmp_path, capsys, section, edit):
+    doc = _experiment_config(tmp_path / "out")
+    edit(doc)
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["experiment", str(cfg)]) == 2
+    assert f"{section} config" in capsys.readouterr().err
 
 
 def test_experiment_empty_config(tmp_path, capsys):
@@ -263,6 +311,8 @@ def test_data_errors_exit_3(ws, tmp_path):
                  "--model", ws["model"], "--out-dir", out, "--instance", "0"]) == 3
     assert main(["train", "--data", ws["data"], "--spec", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "m.json")]) == 3
+    assert main(["train", "--data", ws["data"], "--spec", ws["spec"],
+                 "--out", str(tmp_path / "m.json"), "--mtry", "0"]) == 3
 
 
 def test_model_errors_exit_4(ws, tmp_path):

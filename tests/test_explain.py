@@ -11,7 +11,6 @@ from cafa.errors import FitError, InvalidInputError, SizeLimitError
 from cafa.explain import (
     Attribution,
     Background,
-    coalition_value,
     derive_seed,
     global_explanation,
     lime_explain,
@@ -20,7 +19,7 @@ from cafa.explain import (
 )
 from cafa.forest import ForestParams, RandomForest, Tree, train_forest
 
-from .conftest import ProbModel, make_schema, random_rows
+from .conftest import ProbModel, coalition_value, make_schema, random_rows
 
 
 def shapley_brute(f, x, bg, m):

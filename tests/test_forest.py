@@ -190,5 +190,8 @@ def test_params_validation():
         ForestParams(n_trees=0)
     with pytest.raises(InvalidInputError):
         ForestParams(max_depth=0)
+    for mtry in (0, -3):
+        with pytest.raises(InvalidInputError):
+            ForestParams(features_per_split=mtry)
     assert ForestParams().resolve_mtry(9) == 3
     assert ForestParams(features_per_split=99).resolve_mtry(4) == 4

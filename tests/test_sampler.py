@@ -8,9 +8,15 @@ from scipy.stats import chisquare
 
 from cafa.distance import DistanceParams, delta, delta_to_rows
 from cafa.errors import InvalidInputError, NeighborhoodImbalanceError
-from cafa.sampler import generate_neighborhood, perturb_batch, perturb_once
+from cafa.sampler import DEFAULT_SIGMA, generate_neighborhood, perturb_batch
+from cafa.schema import FeatureSchema
 
 from .conftest import ProbModel, make_schema, random_instance
+
+
+def perturb_once(x, schema: FeatureSchema, rng, sigma: float = DEFAULT_SIGMA):
+    """Single perturbation; uncontrollable features pass through unchanged."""
+    return perturb_batch(x, schema, rng, 1, sigma)[0]
 
 
 @settings(max_examples=60)
