@@ -3,122 +3,62 @@
 Per-feature distances: categorical features contribute 0/1 (match/mismatch),
 continuous features the absolute difference of their normalized values. The
 instance distance is the weight-normalized sum, so it always lies in [0, 1]
-and is a metric whenever every per-feature weight is non-negative.
+and is a metric whenever every per-feature weight is non-negative. The
+weights and feature kinds come from the :class:`FeatureSchema`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .schema import Categorical, Continuous, Dataset, FeatureKind, FeatureSchema
+from .schema import Dataset, FeatureSchema, validate_instance
 
 
-@dataclass(frozen=True)
-class DistanceParams:
-    """Per-feature weights plus the kind masks needed to evaluate distances."""
+def _weighted_sum(A: np.ndarray, B: np.ndarray, schema: FeatureSchema) -> np.ndarray:
+    """Weighted per-feature distance sum between the rows of ``A`` and ``B``.
 
-    weights: np.ndarray
-    is_categorical: np.ndarray
-    vocab_sizes: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if np.any(w < 0):
-            raise InvalidInputError("distance weights must be >= 0")
-        if w.sum() <= 0:
-            raise InvalidInputError("distance normalizer must be > 0")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def normalizer(self) -> float:
-        return float(self.weights.sum())
-
-    @classmethod
-    def from_schema(cls, schema: FeatureSchema) -> "DistanceParams":
-        return cls(
-            weights=schema.weights.copy(),
-            is_categorical=schema.is_categorical.copy(),
-            vocab_sizes=schema.vocab_sizes.copy(),
-        )
+    ``B`` is one instance (broadcast against every row) or a row matrix
+    paired row by row with ``A``.
+    """
+    cat = schema.is_categorical
+    w = schema.weights
+    acc = np.zeros(A.shape[0], dtype=np.float64)
+    if cat.any():
+        acc += (A[:, cat] != B[..., cat]).astype(np.float64) @ w[cat]
+    if (~cat).any():
+        acc += np.abs(A[:, ~cat] - B[..., ~cat]) @ w[~cat]
+    return acc
 
 
-def feature_distance(kind: FeatureKind, a: float, b: float) -> float:
-    """Distance between two values of a single feature, in [0, 1]."""
-    if isinstance(kind, Categorical):
-        for v in (a, b):
-            if v != round(v) or not (0 <= v < kind.size):
-                raise InvalidInputError(f"{v} is not a valid category code")
-        return 0.0 if a == b else 1.0
-    if isinstance(kind, Continuous):
-        for v in (a, b):
-            if not (0.0 <= v <= 1.0):
-                raise InvalidInputError(f"continuous value {v} outside [0, 1]")
-        return abs(a - b)
-    raise InvalidInputError(f"unknown feature kind: {kind!r}")
-
-
-def _check_vector(params: DistanceParams, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != params.weights.shape:
-        raise InvalidInputError(
-            f"instance arity {x.shape} does not match distance params "
-            f"{params.weights.shape}"
-        )
-    cat = params.is_categorical
-    if np.any(x[cat] != np.round(x[cat])) or np.any(x[cat] < 0) or np.any(
-        x[cat] >= params.vocab_sizes[cat]
-    ):
-        raise InvalidInputError("categorical code out of vocabulary range")
-    cont = ~cat
-    if np.any(x[cont] < 0) or np.any(x[cont] > 1):
-        raise InvalidInputError("continuous value outside [0, 1]")
-    return x
-
-
-def delta(x1, x2, params: DistanceParams) -> float:
+def delta(x1, x2, schema: FeatureSchema) -> float:
     """Weighted mean of per-feature distances between two instances."""
-    a = _check_vector(params, x1)
-    b = _check_vector(params, x2)
-    return float(delta_to_rows(a[None, :], b, params)[0])
+    a = validate_instance(schema, x1)
+    b = validate_instance(schema, x2)
+    return float(delta_to_rows(a[None, :], b, schema)[0])
 
 
-def delta_to_rows(X: np.ndarray, x: np.ndarray, params: DistanceParams) -> np.ndarray:
+def delta_to_rows(X: np.ndarray, x: np.ndarray, schema: FeatureSchema) -> np.ndarray:
     """Vectorized distance from one instance to every row of ``X``.
 
     Fast path: inputs are assumed valid (shape-checked only).
     """
     X = np.asarray(X, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != x.shape[0] or x.shape[0] != params.weights.shape[0]:
+    if X.ndim != 2 or X.shape[1] != x.shape[0] or x.shape[0] != schema.arity:
         raise InvalidInputError("shape mismatch in distance computation")
-    cat = params.is_categorical
-    w = params.weights
-    acc = np.zeros(X.shape[0], dtype=np.float64)
-    if cat.any():
-        acc += (X[:, cat] != x[cat]).astype(np.float64) @ w[cat]
-    if (~cat).any():
-        acc += np.abs(X[:, ~cat] - x[~cat]) @ w[~cat]
-    return acc / params.normalizer
+    return _weighted_sum(X, x, schema) / schema.weights.sum()
 
 
-def estimate_proximity(
-    data: Dataset,
-    params: DistanceParams | None = None,
-    n_pairs: int = 10_000,
-    seed: int = 0,
-) -> float:
+def estimate_proximity(data: Dataset, n_pairs: int = 10_000, seed: int = 0) -> float:
     """Average pairwise distance over the dataset.
 
     All C(n, 2) pairs are used when that count fits inside ``n_pairs``;
     otherwise ``n_pairs`` pairs are sampled uniformly (seeded).
     """
-    if params is None:
-        params = DistanceParams.from_schema(data.schema)
+    schema = data.schema
     n = data.n_rows
     if n < 2:
         raise InvalidInputError("proximity estimation needs at least 2 rows")
@@ -130,7 +70,7 @@ def estimate_proximity(
     if total_pairs <= n_pairs:
         acc = 0.0
         for i in range(n - 1):
-            acc += float(delta_to_rows(X[i + 1 :], X[i], params).sum())
+            acc += float(delta_to_rows(X[i + 1 :], X[i], schema).sum())
         return acc / total_pairs
 
     rng = np.random.default_rng(seed)
@@ -140,12 +80,4 @@ def estimate_proximity(
     while clash.any():
         j[clash] = rng.integers(0, n, size=int(clash.sum()))
         clash = i == j
-    cat = params.is_categorical
-    w = params.weights
-    A, B = X[i], X[j]
-    acc = np.zeros(n_pairs, dtype=np.float64)
-    if cat.any():
-        acc += (A[:, cat] != B[:, cat]).astype(np.float64) @ w[cat]
-    if (~cat).any():
-        acc += np.abs(A[:, ~cat] - B[:, ~cat]) @ w[~cat]
-    return float(acc.mean() / params.normalizer)
+    return float(_weighted_sum(X[i], X[j], schema).mean() / schema.weights.sum())

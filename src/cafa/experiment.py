@@ -45,16 +45,27 @@ def _build(cls, section: str, fields, **defaults):
         raise UsageError(f"bad {section} config: {exc}") from None
 
 
+def _int(value, key: str) -> int:
+    """A JSON integer config value; anything else is a usage error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"{key} config must be an integer, got {value!r}")
+    return value
+
+
 def load_dataset(ds_cfg: dict):
     """Resolve a dataset config to a Dataset; kinds: csv | synth | preset names."""
+    if not isinstance(ds_cfg, dict):
+        raise UsageError(f"dataset config must be a JSON object, got {ds_cfg!r}")
     kind = ds_cfg.get("kind")
     if kind == "csv":
-        spec = IngestionSpec.from_json(ds_cfg["spec"])
-        return load_csv(ds_cfg["path"], spec)
+        missing = [k for k in ("path", "spec") if k not in ds_cfg]
+        if missing:
+            raise UsageError(f"dataset config of kind csv is missing: {', '.join(missing)}")
+        return load_csv(ds_cfg["path"], IngestionSpec.from_json(ds_cfg["spec"]))
     if kind == "covid_preset":
-        return bench.covid_preset(seed=int(ds_cfg.get("seed", 0)))
+        return bench.covid_preset(seed=_int(ds_cfg.get("seed", 0), "dataset.seed"))
     if kind == "lung_preset":
-        return bench.lung_preset(seed=int(ds_cfg.get("seed", 0)))
+        return bench.lung_preset(seed=_int(ds_cfg.get("seed", 0), "dataset.seed"))
     if kind == "synth":
         fields = {k: v for k, v in ds_cfg.items() if k != "kind"}
         for key in ("kinds", "rule_features", "rule_weights"):
@@ -111,7 +122,9 @@ def run_experiment(config_path, timestamp: bool = False) -> Path:
             f"(required: {', '.join(REQUIRED_KEYS)})"
         )
 
-    seed = int(doc.get("seed", 0))
+    seed = _int(doc.get("seed", 0), "seed")
+    instance_idx = _int(doc.get("instance", 0), "instance")
+    n_sample = _int(doc["sample"], "sample")
     data = load_dataset(doc["dataset"])
     schema = data.schema
     names = schema.names
@@ -124,7 +137,6 @@ def run_experiment(config_path, timestamp: bool = False) -> Path:
     out_dir = Path(doc["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    instance_idx = int(doc.get("instance", 0))
     if not 0 <= instance_idx < data.n_rows:
         raise UsageError(f"instance index {instance_idx} out of range (0..{data.n_rows - 1})")
     x = data.X[instance_idx]
@@ -161,7 +173,6 @@ def run_experiment(config_path, timestamp: bool = False) -> Path:
     )
 
     # Global pass over a seeded sample of training rows.
-    n_sample = int(doc["sample"])
     sample_idx = sample_rows(data.n_rows, n_sample, seed)
     gres = cafa_global(data.X[sample_idx], model, schema, cfg, data=data)
     global_doc = {"aggregate": "mean over instances", "seed": seed}

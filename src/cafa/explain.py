@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import DistanceParams, delta_to_rows
+from .distance import delta_to_rows
 from .errors import FitError, InvalidInputError, SizeLimitError
 from .schema import Dataset, FeatureSchema
 
@@ -222,7 +222,7 @@ def lime_explain(
             Z[:, j] = rng.random(n_samples)
 
     y = _prob1(f, Z)
-    d = delta_to_rows(Z, x, DistanceParams.from_schema(schema))
+    d = delta_to_rows(Z, x, schema)
     if kernel_width is None:
         kernel_width = 0.75 * math.sqrt(max(float(d.mean()), 0.0))
     kernel_width = max(float(kernel_width), 1e-9)

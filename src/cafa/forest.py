@@ -82,25 +82,6 @@ class Tree:
                 frontier.append((int(self.right[node]), d + 1))
         return depth
 
-    @classmethod
-    def leaf(cls, prob) -> "Tree":
-        prob = np.asarray(prob, dtype=np.float64)
-        return cls([-1], [False], [0.0], [0], [0], prob[None, :])
-
-    @classmethod
-    def stump(cls, feature, threshold, left_prob, right_prob, is_cat=False) -> "Tree":
-        """Single-split tree; handy for hand-built oracles."""
-        return cls(
-            feature=[feature, -1, -1],
-            is_cat=[is_cat, False, False],
-            threshold=[threshold, 0.0, 0.0],
-            left=[1, 1, 2],
-            right=[2, 1, 2],
-            leaf_prob=np.vstack(
-                [np.zeros_like(left_prob, dtype=np.float64), left_prob, right_prob]
-            ),
-        )
-
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf index reached by every row of ``X``."""
         n, m = X.shape

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import DistanceParams, delta_to_rows, estimate_proximity
+from .distance import delta_to_rows, estimate_proximity
 from .errors import (
     CorrelationUndefinedError,
     ExplanationError,
@@ -183,7 +183,7 @@ def cafa_local(
     else:
         # Explain the rows closest to the query (ties by acceptance order)
         # so a truncated average still describes the query's vicinity.
-        d = delta_to_rows(rows, x, DistanceParams.from_schema(schema))
+        d = delta_to_rows(rows, x, schema)
         idx = np.sort(np.lexsort((np.arange(n), d))[:n_locals])
 
     bg = Background.from_dataset(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .distance import DistanceParams, delta_to_rows
+from .distance import delta_to_rows
 from .errors import InvalidInputError, NeighborhoodImbalanceError
 from .schema import Dataset, FeatureSchema, validate_instance
 
@@ -75,7 +75,6 @@ def generate_neighborhood(
     if max_attempts < 1:
         raise InvalidInputError("max_attempts must be >= 1")
 
-    params = DistanceParams.from_schema(schema)
     rng = np.random.default_rng(seed)
     rows = []
     labels = []
@@ -106,7 +105,7 @@ def generate_neighborhood(
         n_draw = min(_CHUNK, budget)
         cand = perturb_batch(x, schema, rng, n_draw, sigma)
         attempts += n_draw
-        keep = delta_to_rows(cand, x, params) <= pi
+        keep = delta_to_rows(cand, x, schema) <= pi
         rejected_distance += int(n_draw - keep.sum())
         if keep.any():
             survivors = cand[keep]

@@ -110,12 +110,6 @@ class FeatureSchema:
     def __eq__(self, other) -> bool:
         return isinstance(other, FeatureSchema) and self.features == other.features
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise InvalidInputError(f"unknown feature {name!r}") from None
-
     def to_dict(self) -> dict:
         out = []
         for f in self.features:
@@ -297,9 +291,8 @@ class IngestionSpec:
             feats = doc["features"]
         except (KeyError, TypeError) as exc:
             raise IngestionError(f"ingestion spec missing key: {exc}") from None
-        cols = []
-        for entry in feats:
-            cols.append(
+        try:
+            cols = tuple(
                 ColumnSpec(
                     name=entry["name"],
                     kind=entry["kind"],
@@ -307,8 +300,13 @@ class IngestionSpec:
                     weight=float(entry.get("weight", 1.0)),
                     vocabulary=tuple(entry["vocabulary"]) if "vocabulary" in entry else None,
                 )
+                for entry in feats
             )
-        return cls(label=label, columns=tuple(cols))
+        except KeyError as exc:
+            raise IngestionError(f"ingestion spec feature missing key: {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise IngestionError(f"malformed ingestion spec feature: {exc}") from None
+        return cls(label=label, columns=cols)
 
     @classmethod
     def from_json(cls, path) -> "IngestionSpec":
@@ -511,15 +509,4 @@ def dataset_to_raw_csv(data: Dataset, path, label_name: str = "class") -> None:
 
 def ingestion_spec_for(data: Dataset, label_name: str = "class") -> "IngestionSpec":
     """Ingestion spec (closed vocabularies) matching a dataset's schema."""
-    cols = []
-    for f in data.schema.features:
-        cols.append(
-            ColumnSpec(
-                name=f.name,
-                kind="cat" if f.is_categorical else "cont",
-                controllable=f.controllable,
-                weight=f.weight,
-                vocabulary=f.kind.vocabulary if f.is_categorical else None,
-            )
-        )
-    return IngestionSpec(label=label_name, columns=tuple(cols))
+    return IngestionSpec.from_dict({"label": label_name, **data.schema.to_dict()})

@@ -1,4 +1,4 @@
-"""Shared helpers: small schemas, model fakes, random instances, a coalition-value reference."""
+"""Shared helpers: small schemas, model fakes, stump trees, random instances, a coalition-value reference."""
 
 from pathlib import Path
 
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 from cafa.explain import Background, _prob1
+from cafa.forest import Tree
 from cafa.schema import Categorical, Continuous, Feature, FeatureSchema
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
@@ -41,6 +42,18 @@ def coalition_value(f, x, coalition, bg: Background) -> float:
     if idx.size:
         Z[:, idx] = x[idx]
     return float(_prob1(f, Z).mean())
+
+
+def stump(feature, threshold, left_prob, right_prob, is_cat=False) -> Tree:
+    """Single-split tree, for hand-built oracles."""
+    return Tree(
+        feature=[feature, -1, -1],
+        is_cat=[is_cat, False, False],
+        threshold=[threshold, 0.0, 0.0],
+        left=[1, 1, 2],
+        right=[2, 1, 2],
+        leaf_prob=np.vstack([np.zeros_like(left_prob, dtype=np.float64), left_prob, right_prob]),
+    )
 
 
 def make_schema(kinds, controllable=None, weights=None, names=None):

@@ -17,7 +17,7 @@ import pytest
 
 from cafa.bench import SynthSpec, covid_preset, generate_synth, train_test_split
 from cafa.cli import main as cli_main
-from cafa.distance import DistanceParams, delta, delta_to_rows, estimate_proximity
+from cafa.distance import delta, delta_to_rows, estimate_proximity
 from cafa.errors import NeighborhoodImbalanceError
 from cafa.explain import Background, derive_seed, shapley_exact
 from cafa.forest import ForestParams, accuracy, train_forest
@@ -191,7 +191,7 @@ def test_criterion_5_sampler_contract():
             k = int(rng.integers(5, 26))
             nb = generate_neighborhood(x, f, schema, pi=pi, k=k, seed=t)
             rows, labels = nb.data.X, nb.data.y
-            d = delta_to_rows(rows, x, DistanceParams.from_schema(schema))
+            d = delta_to_rows(rows, x, schema)
             assert np.all(d <= pi)
             unc = schema.uncontrollable_idx
             assert np.all(rows[:, unc] == x[unc])  # bit-exact pins
@@ -210,17 +210,16 @@ def test_criterion_6_distance_is_a_bounded_metric():
     with criterion(6, "distance: symmetric, identity, bounded, triangle (10k triples)"):
         schema = make_schema(["cont", 6, "cont", 3, "cont"],
                              weights=[1.0, 2.0, 0.5, 1.0, 3.0])
-        params = DistanceParams.from_schema(schema)
         rng = np.random.default_rng(123)
         for _ in range(10_000):
             a = random_instance(schema, rng)
             b = random_instance(schema, rng)
             c = random_instance(schema, rng)
-            dab = delta(a, b, params)
-            assert delta(b, a, params) == dab
-            assert delta(a, a, params) == 0.0
+            dab = delta(a, b, schema)
+            assert delta(b, a, schema) == dab
+            assert delta(a, a, schema) == 0.0
             assert 0.0 <= dab <= 1.0
-            assert delta(a, c, params) <= dab + delta(b, c, params) + 1e-12
+            assert delta(a, c, schema) <= dab + delta(b, c, schema) + 1e-12
 
 
 def test_criterion_7_reported_vector_is_the_per_row_mean():

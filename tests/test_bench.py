@@ -112,7 +112,7 @@ def test_covid_shape_and_schema(covid):
     schema = covid.schema
     assert set(schema.names) == set(MEASURES) | set(CONTEXT)
     for name in MEASURES:
-        f = schema.features[schema.index_of(name)]
+        f = schema.features[schema.names.index(name)]
         assert f.controllable
         want = ("0", "M1", "M2", "M3", "M4", "H1", "H2", "H3", "H4") \
             if name in ("mask_indoor", "mask_outdoor", "home_visits",
@@ -120,8 +120,8 @@ def test_covid_shape_and_schema(covid):
             else ("0", "1", "2", "3", "4")
         assert f.kind.vocabulary == want
     for name in CONTEXT:
-        assert not schema.features[schema.index_of(name)].controllable
-    region = schema.features[schema.index_of("region")]
+        assert not schema.features[schema.names.index(name)].controllable
+    region = schema.features[schema.names.index("region")]
     assert region.kind.vocabulary == tuple(f"R{i}" for i in range(12))
     _dataset_ok(covid)
     assert set(np.unique(covid.y)) == {0, 1}
@@ -158,13 +158,13 @@ def test_covid_hard_contact_restrictions_carry_the_signal(covid):
     # the strongest planted lever must tell you more about the label than
     # any of the context columns an explainer is told to leave alone
     schema = covid.schema
-    vocab = schema.features[schema.index_of("contact_restr")].kind.vocabulary
+    vocab = schema.features[schema.names.index("contact_restr")].kind.vocabulary
     hard = {i for i, c in enumerate(vocab) if c.startswith("H")}
-    cr_hard = np.isin(covid.X[:, schema.index_of("contact_restr")], sorted(hard)).astype(int)
+    cr_hard = np.isin(covid.X[:, schema.names.index("contact_restr")], sorted(hard)).astype(int)
     mi_lever = _plugin_mi(covid.y, cr_hard)
     for name in CONTEXT:
-        col = covid.X[:, schema.index_of(name)]
-        codes = col.astype(int) if schema.is_categorical[schema.index_of(name)] else _bin10(col)
+        col = covid.X[:, schema.names.index(name)]
+        codes = col.astype(int) if schema.is_categorical[schema.names.index(name)] else _bin10(col)
         assert _plugin_mi(covid.y, codes) < mi_lever, name
 
 
@@ -191,7 +191,7 @@ def test_lung_shape_and_schema():
 
 def test_lung_categorical_columns_are_skewed():
     data = lung_preset(seed=0)
-    j = data.schema.index_of("regimen")
+    j = data.schema.names.index("regimen")
     counts = np.bincount(data.X[:, j].astype(int), minlength=9)
     assert counts[0] > counts[8] * 2  # low codes dominate, registry-style
 

@@ -251,8 +251,15 @@ def test_experiment_flow(tmp_path):
         ("model", lambda d: d["model"].update(max_dpeth=6)),
         ("model", lambda d: d.update(model=[1])),
         ("cafa.surrogate_params", lambda d: d["cafa"]["surrogate_params"].update(n_tres=20)),
+        ("dataset", lambda d: d.update(dataset=[1])),
+        ("dataset", lambda d: d.update(dataset={"kind": "csv"})),
+        ("dataset.seed", lambda d: d.update(dataset={"kind": "lung_preset", "seed": "x"})),
+        ("instance", lambda d: d.update(instance="x")),
+        ("sample", lambda d: d.update(sample="two")),
+        ("seed", lambda d: d.update(seed=1.5)),
     ],
-    ids=["dataset-key", "model-key", "model-not-object", "surrogate-key"],
+    ids=["dataset-key", "model-key", "model-not-object", "surrogate-key", "dataset-not-object",
+         "csv-no-path-spec", "dataset-seed", "instance", "sample", "seed"],
 )
 def test_experiment_bad_section_exit_2(tmp_path, capsys, section, edit):
     doc = _experiment_config(tmp_path / "out")
@@ -313,6 +320,11 @@ def test_data_errors_exit_3(ws, tmp_path):
                  "--out", str(tmp_path / "m.json")]) == 3
     assert main(["train", "--data", ws["data"], "--spec", ws["spec"],
                  "--out", str(tmp_path / "m.json"), "--mtry", "0"]) == 3
+    bad_spec = tmp_path / "bad_spec.json"
+    for feats in ([{"kind": "cat"}], [{"name": "c0"}], [7], 7):
+        bad_spec.write_text(json.dumps({"label": "class", "features": feats}))
+        assert main(["train", "--data", ws["data"], "--spec", str(bad_spec),
+                     "--out", str(tmp_path / "m.json")]) == 3, feats
 
 
 def test_model_errors_exit_4(ws, tmp_path):

@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cafa.distance import (
-    DistanceParams,
-    delta,
-    delta_to_rows,
-    estimate_proximity,
-    feature_distance,
-)
+from cafa.distance import delta, delta_to_rows, estimate_proximity
 from cafa.errors import InvalidInputError
-from cafa.schema import Categorical, Continuous, Dataset
+from cafa.schema import Dataset
 
 from .conftest import make_schema, random_instance, random_rows
 
@@ -21,7 +15,6 @@ MIXED = make_schema(
     ["cont", 6, "cont", 3, "cont"],
     weights=[1.0, 2.0, 0.5, 1.0, 3.0],
 )
-PARAMS = DistanceParams.from_schema(MIXED)
 
 
 def delta_ref(a, b, schema):
@@ -33,50 +26,26 @@ def delta_ref(a, b, schema):
     return acc / schema.weights.sum()
 
 
-def test_feature_distance_cases():
-    cat = Categorical(tuple("abcdef"))
-    assert feature_distance(cat, 3, 3) == 0.0
-    assert feature_distance(cat, 3, 5) == 1.0
-    assert feature_distance(Continuous(), 0.2, 0.7) == pytest.approx(0.5, abs=1e-15)
-    with pytest.raises(InvalidInputError):
-        feature_distance(cat, 3, 9)  # out of vocabulary
-    with pytest.raises(InvalidInputError):
-        feature_distance(cat, 3.5, 2)  # non-integral code
-    with pytest.raises(InvalidInputError):
-        feature_distance(Continuous(), 0.2, 1.4)  # outside [0, 1]
-    with pytest.raises(InvalidInputError):
-        feature_distance(object(), 0.1, 0.2)
-
-
 def test_delta_identity_and_examples():
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = random_instance(MIXED, rng)
-        assert delta(x, x, PARAMS) == 0.0
+        assert delta(x, x, MIXED) == 0.0
 
     # m=4, unit weights, one categorical mismatch -> 1/4
     s4 = make_schema([3, 3, 3, 3])
-    p4 = DistanceParams.from_schema(s4)
-    assert delta([0, 1, 2, 0], [0, 1, 2, 1], p4) == 0.25
+    assert delta([0, 1, 2, 0], [0, 1, 2, 1], s4) == 0.25
 
     # m=2, weights (1, 3), continuous diffs (0.4, 0.0) -> 0.1
     s2 = make_schema(["cont", "cont"], weights=[1.0, 3.0])
-    p2 = DistanceParams.from_schema(s2)
-    assert delta([0.4, 0.2], [0.0, 0.2], p2) == pytest.approx(0.1, abs=1e-15)
+    assert delta([0.4, 0.2], [0.0, 0.2], s2) == pytest.approx(0.1, abs=1e-15)
 
 
 def test_delta_schema_mismatch():
     with pytest.raises(InvalidInputError):
-        delta([0.1, 0.2], [0.1, 0.2, 0.3], PARAMS)
+        delta([0.1, 0.2], [0.1, 0.2, 0.3], MIXED)
     with pytest.raises(InvalidInputError):
-        delta([0.1, 9, 0.2, 0, 0.3], [0.1, 0, 0.2, 0, 0.3], PARAMS)  # bad code
-
-
-def test_params_validation():
-    with pytest.raises(InvalidInputError):
-        DistanceParams(np.array([-1.0, 2.0]), np.array([False, False]), np.array([0, 0]))
-    with pytest.raises(InvalidInputError):
-        DistanceParams(np.array([0.0, 0.0]), np.array([False, False]), np.array([0, 0]))
+        delta([0.1, 9, 0.2, 0, 0.3], [0.1, 0, 0.2, 0, 0.3], MIXED)  # bad code
 
 
 @settings(max_examples=150)
@@ -86,35 +55,34 @@ def test_metric_properties(seed):
     a = random_instance(MIXED, rng)
     b = random_instance(MIXED, rng)
     c = random_instance(MIXED, rng)
-    dab, dba = delta(a, b, PARAMS), delta(b, a, PARAMS)
+    dab, dba = delta(a, b, MIXED), delta(b, a, MIXED)
     assert dab == dba  # symmetry is exact, same arithmetic both ways
-    assert delta(a, a, PARAMS) == 0.0
+    assert delta(a, a, MIXED) == 0.0
     assert 0.0 <= dab <= 1.0
-    assert delta(a, c, PARAMS) <= dab + delta(b, c, PARAMS) + 1e-12
+    assert delta(a, c, MIXED) <= dab + delta(b, c, MIXED) + 1e-12
     assert abs(dab - delta_ref(a, b, MIXED)) <= 1e-12
 
 
 def test_zero_weight_features_never_affect_delta():
     schema = make_schema(["cont", "cont", 4], weights=[1.0, 0.0, 2.0])
-    params = DistanceParams.from_schema(schema)
     a = np.array([0.3, 0.1, 2.0])
     b = np.array([0.7, 0.9, 1.0])
-    base = delta(a, b, params)
+    base = delta(a, b, schema)
     for v in (0.0, 0.5, 1.0):
         b2 = b.copy()
         b2[1] = v
-        assert delta(a, b2, params) == base
+        assert delta(a, b2, schema) == base
 
 
 def test_delta_to_rows_matches_scalar():
     rng = np.random.default_rng(3)
     X = random_rows(MIXED, rng, 60)
     x = random_instance(MIXED, rng)
-    vec = delta_to_rows(X, x, PARAMS)
+    vec = delta_to_rows(X, x, MIXED)
     for i in range(X.shape[0]):
-        assert abs(vec[i] - delta(X[i], x, PARAMS)) <= 1e-15
+        assert abs(vec[i] - delta(X[i], x, MIXED)) <= 1e-15
     with pytest.raises(InvalidInputError):
-        delta_to_rows(X[:, :3], x, PARAMS)
+        delta_to_rows(X[:, :3], x, MIXED)
 
 
 def test_estimate_proximity_small_cases():
@@ -138,7 +106,7 @@ def test_estimate_proximity_exhaustive_matches_brute_force():
     n = 0
     for i in range(99):
         for j in range(i + 1, 100):
-            acc += delta(X[i], X[j], PARAMS)
+            acc += delta(X[i], X[j], MIXED)
             n += 1
     assert abs(estimate_proximity(data) - acc / n) <= 1e-9
 

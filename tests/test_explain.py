@@ -17,9 +17,9 @@ from cafa.explain import (
     shapley_exact,
     shapley_mc,
 )
-from cafa.forest import ForestParams, RandomForest, Tree, train_forest
+from cafa.forest import ForestParams, RandomForest, train_forest
 
-from .conftest import ProbModel, coalition_value, make_schema, random_rows
+from .conftest import ProbModel, coalition_value, make_schema, random_rows, stump
 
 
 def shapley_brute(f, x, bg, m):
@@ -94,7 +94,7 @@ def test_exact_matches_brute_force():
 def test_exact_dummy_features_bit_zero():
     # stump forest reads only feature 0; features 1..3 are dummies
     schema = make_schema(["cont"] * 4)
-    trees = [Tree.stump(0, t, np.array([0.8, 0.2]), np.array([0.1, 0.9]))
+    trees = [stump(0, t, np.array([0.8, 0.2]), np.array([0.1, 0.9]))
              for t in (0.3, 0.5, 0.7)]
     model = RandomForest(trees, ForestParams(n_trees=3), schema, 2)
     rng = np.random.default_rng(1)
@@ -162,7 +162,7 @@ def test_mc_close_to_exact_at_2000_perms():
 
 def test_mc_dummy_feature_small_and_exactly_zero():
     schema = make_schema(["cont"] * 4)
-    trees = [Tree.stump(0, 0.5, np.array([0.9, 0.1]), np.array([0.2, 0.8]))]
+    trees = [stump(0, 0.5, np.array([0.9, 0.1]), np.array([0.2, 0.8]))]
     model = RandomForest(trees, ForestParams(n_trees=1), schema, 2)
     rng = np.random.default_rng(2)
     bg = Background(rng.random((8, 4)))

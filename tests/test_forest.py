@@ -12,7 +12,7 @@ from cafa.errors import InvalidInputError, ModelFormatError, TrainingError
 from cafa.forest import ForestParams, RandomForest, Tree, accuracy, predict, train_forest
 from cafa.schema import Dataset
 
-from .conftest import ProbModel, make_schema
+from .conftest import ProbModel, make_schema, stump
 
 
 def _stump_ref(x, feature, threshold, left, right, is_cat=False):
@@ -22,22 +22,22 @@ def _stump_ref(x, feature, threshold, left, right, is_cat=False):
 
 def test_stump_oracle_continuous():
     left, right = np.array([0.9, 0.1]), np.array([0.2, 0.8])
-    stump = Tree.stump(0, 0.5, left, right)
+    tree = stump(0, 0.5, left, right)
     # brute force over all corners of the {0, 0.25, 1}^4 grid
     for corner in itertools.product([0.0, 0.25, 1.0], repeat=4):
         x = np.array(corner)
         want = _stump_ref(x, 0, 0.5, left, right)
-        got = stump.predict_proba(x[None, :])[0]
+        got = tree.predict_proba(x[None, :])[0]
         assert np.array_equal(got, want)
 
 
 def test_stump_oracle_categorical():
     left, right = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    stump = Tree.stump(1, 2.0, left, right, is_cat=True)
+    tree = stump(1, 2.0, left, right, is_cat=True)
     for code in range(4):
         x = np.array([0.0, float(code)])
         want = _stump_ref(x, 1, 2.0, left, right, is_cat=True)
-        assert np.array_equal(stump.predict_proba(x[None, :])[0], want)
+        assert np.array_equal(tree.predict_proba(x[None, :])[0], want)
 
 
 def _walk(tree, x):
@@ -61,8 +61,8 @@ def test_apply_matches_row_by_row_walk():
 
 
 def test_forest_probability_is_mean_of_trees():
-    t1 = Tree.stump(0, 0.5, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    t2 = Tree.leaf(np.array([0.25, 0.75]))
+    t1 = stump(0, 0.5, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    t2 = Tree([-1], [False], [0.0], [0], [0], [[0.25, 0.75]])  # a single leaf
     schema = make_schema(["cont"])
     forest = RandomForest([t1, t2], ForestParams(n_trees=2), schema, 2)
     got = forest.predict_proba(np.array([[0.2]]))[0]

@@ -9,8 +9,9 @@ import textwrap
 import numpy as np
 import pytest
 
+import cafa
 from cafa.bench import SynthSpec, generate_synth
-from cafa.distance import DistanceParams, delta_to_rows, estimate_proximity
+from cafa.distance import delta_to_rows, estimate_proximity
 from cafa.errors import (
     CorrelationUndefinedError,
     ExplanationError,
@@ -32,6 +33,12 @@ from cafa.pipeline import (
 from cafa.schema import Continuous, Dataset, Feature, FeatureSchema
 
 from .conftest import ProbModel, make_schema
+
+
+def test_package_exports_resolve():
+    assert len(set(cafa.__all__)) == len(cafa.__all__)
+    missing = [name for name in cafa.__all__ if not hasattr(cafa, name)]
+    assert missing == []
 
 
 def _make_synth_task():
@@ -163,7 +170,7 @@ def test_n_locals_selects_nearest_rows(synth_task):
     res = cafa_local(x, model, data.schema, cfg, data=data)
     assert res.explained_rows.size == 15
     rows = res.neighborhood.data.X
-    d = delta_to_rows(rows, x, DistanceParams.from_schema(data.schema))
+    d = delta_to_rows(rows, x, data.schema)
     want = np.sort(np.lexsort((np.arange(d.size), d))[:15])
     assert np.array_equal(res.explained_rows, want)
     # and every explained row is at least as close as every unexplained one

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from cafa.distance import DistanceParams, delta, delta_to_rows
+from cafa.distance import delta, delta_to_rows
 from cafa.errors import InvalidInputError, NeighborhoodImbalanceError
 from cafa.sampler import DEFAULT_SIGMA, generate_neighborhood, perturb_batch
 from cafa.schema import FeatureSchema
@@ -73,9 +73,8 @@ def test_linear_boundary_neighborhood_contract():
     nb = generate_neighborhood(x, f, schema, pi=pi, k=50, seed=0)
     data = nb.data
     assert data.n_rows == 100  # binary, K=50 -> exactly 2K rows
-    params = DistanceParams.from_schema(schema)
     for i in range(data.n_rows):
-        assert delta(data.X[i], x, params) <= pi
+        assert delta(data.X[i], x, schema) <= pi
         assert data.X[i, 0] == x[0]  # uncontrollable pinned on every row
     counts = np.bincount(data.y)
     assert list(counts) == [50, 50]
@@ -169,9 +168,8 @@ def test_random_configurations_satisfy_invariants():
         k = int(rng.integers(5, 30))
         # put the boundary inside the reachable score range so both classes
         # exist within the proximity ball
-        params = DistanceParams.from_schema(schema)
         probe = perturb_batch(x, schema, np.random.default_rng(1), 400)
-        probe = probe[delta_to_rows(probe, x, params) <= pi]
+        probe = probe[delta_to_rows(probe, x, schema) <= pi]
         scores = probe @ w
         thresh = float((scores.min() + scores.max()) / 2.0)
 
@@ -185,5 +183,5 @@ def test_random_configurations_satisfy_invariants():
         assert all(c in (0, k) for c in counts) and (counts == k).sum() >= 2
         unc = schema.uncontrollable_idx
         for i in range(data.n_rows):
-            assert delta(data.X[i], x, params) <= pi
+            assert delta(data.X[i], x, schema) <= pi
             assert np.array_equal(data.X[i][unc], x[unc])
