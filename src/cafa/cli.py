@@ -46,7 +46,6 @@ def _add_cafa_args(p):
     p.add_argument("--n-perms", type=int, default=10, help="permutations per explained row")
     p.add_argument("--n-locals", type=int, default=None, help="neighborhood rows to explain")
     p.add_argument("--background", type=int, default=100, help="background sample size")
-    p.add_argument("--explainer", choices=("mc", "exact"), default="mc")
     p.add_argument("--surrogate-trees", type=int, default=100)
     p.add_argument("--surrogate-depth", type=int, default=8)
 
@@ -159,7 +158,6 @@ def _config_from_args(args) -> CafaConfig:
         n_perms=args.n_perms,
         n_locals=args.n_locals,
         background_size=args.background,
-        explainer=args.explainer,
         surrogate_params=ForestParams(
             n_trees=args.surrogate_trees, max_depth=args.surrogate_depth
         ),

@@ -61,6 +61,9 @@ def load_dataset(ds_cfg: dict):
         missing = [k for k in ("path", "spec") if k not in ds_cfg]
         if missing:
             raise UsageError(f"dataset config of kind csv is missing: {', '.join(missing)}")
+        for key in ("path", "spec"):
+            if not isinstance(ds_cfg[key], str):
+                raise UsageError(f"dataset.{key} config must be a string, got {ds_cfg[key]!r}")
         return load_csv(ds_cfg["path"], IngestionSpec.from_json(ds_cfg["spec"]))
     if kind == "covid_preset":
         return bench.covid_preset(seed=_int(ds_cfg.get("seed", 0), "dataset.seed"))
@@ -68,6 +71,9 @@ def load_dataset(ds_cfg: dict):
         return bench.lung_preset(seed=_int(ds_cfg.get("seed", 0), "dataset.seed"))
     if kind == "synth":
         fields = {k: v for k, v in ds_cfg.items() if k != "kind"}
+        for key in ("seed", "n_rows", "m_controllable", "m_uncontrollable"):
+            if key in fields:
+                fields[key] = _int(fields[key], f"dataset.{key}")
         for key in ("kinds", "rule_features", "rule_weights"):
             if key in fields and fields[key] is not None:
                 fields[key] = tuple(fields[key])

@@ -51,10 +51,6 @@ class Attribution:
         phi.flags.writeable = False
         object.__setattr__(self, "phi", phi)
 
-    @property
-    def total(self) -> float:
-        return float(self.phi0 + self.phi.sum())
-
 
 @dataclass(frozen=True)
 class Background:
@@ -199,8 +195,6 @@ def lime_explain(
     schema: FeatureSchema,
     n_samples: int = 1000,
     seed: int = 0,
-    kernel_width: float | None = None,
-    alpha: float = 1e-3,
 ) -> Attribution:
     """Locally weighted ridge fit around ``x`` perturbing every feature.
 
@@ -223,9 +217,7 @@ def lime_explain(
 
     y = _prob1(f, Z)
     d = delta_to_rows(Z, x, schema)
-    if kernel_width is None:
-        kernel_width = 0.75 * math.sqrt(max(float(d.mean()), 0.0))
-    kernel_width = max(float(kernel_width), 1e-9)
+    kernel_width = max(0.75 * math.sqrt(max(float(d.mean()), 0.0)), 1e-9)
     w = np.exp(-(d**2) / kernel_width**2)
 
     A = np.empty((n_samples, m + 1), dtype=np.float64)
@@ -237,7 +229,7 @@ def lime_explain(
     A[:, m] = 1.0
 
     G = A.T @ (w[:, None] * A)
-    G[np.arange(m), np.arange(m)] += alpha  # intercept stays unpenalized
+    G[np.arange(m), np.arange(m)] += 1e-3  # ridge penalty; intercept stays unpenalized
     rhs = A.T @ (w * y)
     try:
         beta = np.linalg.solve(G, rhs)

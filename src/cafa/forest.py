@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ModelFormatError, TrainingError
-from .schema import Dataset, FeatureSchema, validate_instance
+from .schema import Dataset, FeatureSchema
 
 
 @dataclass(frozen=True)
@@ -337,19 +337,6 @@ def train_forest(data: Dataset, params: ForestParams | None = None) -> RandomFor
         trees, params, data.schema, n_classes,
         norm_params=data.norm_params, label_values=data.label_values,
     )
-
-
-def predict(model, x) -> tuple[int, np.ndarray]:
-    """Predict a single instance: (class id, probability vector).
-
-    Ties in the probability vector resolve to the lowest class id.
-    """
-    if hasattr(model, "schema"):
-        x = validate_instance(model.schema, x)
-    else:
-        x = np.asarray(x, dtype=np.float64)
-    probs = model.predict_proba(x[None, :])[0]
-    return int(np.argmax(probs)), probs
 
 
 def accuracy(model, data: Dataset) -> float:

@@ -34,10 +34,8 @@ from .explain import (
     shapley_mc,
 )
 from .forest import ForestParams, RandomForest, accuracy, train_forest
-from .sampler import DEFAULT_SIGMA, NeighborhoodSample, generate_neighborhood
+from .sampler import NeighborhoodSample, generate_neighborhood
 from .schema import Dataset, FeatureSchema, validate_instance
-
-_EXPLAINERS = ("mc", "exact")
 
 # Seed-derivation tags so every pipeline stage gets an independent stream.
 _TAG_PROXIMITY = 0
@@ -56,14 +54,11 @@ class CafaConfig:
 
     k: int = 500
     pi: float | str = "estimate"
-    n_pairs: int = 10_000
     surrogate_params: ForestParams = field(default_factory=ForestParams)
-    explainer: str = "mc"
     n_perms: int = 10
     n_locals: int | None = None
     background_size: int = 100
     max_attempts: int = 200_000
-    sigma: float = DEFAULT_SIGMA
     exact_limit: int = 15
     shap_perms: int = 2000
     seed: int = 0
@@ -71,10 +66,6 @@ class CafaConfig:
     def __post_init__(self):
         if self.k < 1:
             raise InvalidInputError("k must be >= 1")
-        if self.explainer not in _EXPLAINERS:
-            raise InvalidInputError(
-                f"explainer must be one of {_EXPLAINERS}, got {self.explainer!r}"
-            )
         if isinstance(self.pi, str):
             if self.pi != "estimate":
                 raise InvalidInputError("pi must be a float in (0, 1] or 'estimate'")
@@ -107,33 +98,14 @@ class CafaResult:
     pi: float
 
 
-def resolve_pi(cfg: CafaConfig, schema: FeatureSchema, data: Dataset | None) -> float:
+def resolve_pi(cfg: CafaConfig, data: Dataset | None) -> float:
     if not isinstance(cfg.pi, str):
         return float(cfg.pi)
     if data is None:
         raise InvalidInputError(
             "pi='estimate' needs a training dataset to average pairwise distances over"
         )
-    return estimate_proximity(
-        data, n_pairs=cfg.n_pairs, seed=derive_seed(cfg.seed, _TAG_PROXIMITY)
-    )
-
-
-def _explain_rows(g, rows, idx, bg, cfg: CafaConfig):
-    """Shapley-explain the selected surrogate rows; returns (phis, phi0)."""
-    m = rows.shape[1]
-    phis = np.empty((idx.size, m), dtype=np.float64)
-    phi0 = 0.0
-    for pos, ri in enumerate(idx):
-        if cfg.explainer == "exact":
-            attr = shapley_exact(g, rows[ri], bg, exact_limit=cfg.exact_limit)
-        else:
-            attr = shapley_mc(
-                g, rows[ri], bg, n_perms=cfg.n_perms, seed=derive_seed(cfg.seed, _TAG_ROW, int(ri))
-            )
-        phis[pos] = attr.phi
-        phi0 += attr.phi0
-    return phis, phi0 / idx.size
+    return estimate_proximity(data, seed=derive_seed(cfg.seed, _TAG_PROXIMITY))
 
 
 def cafa_local(
@@ -146,7 +118,7 @@ def cafa_local(
     """Explain one instance; uncontrollable features get exactly zero."""
     cfg = cfg or CafaConfig()
     x = validate_instance(schema, x)
-    pi = resolve_pi(cfg, schema, data)
+    pi = resolve_pi(cfg, data)
 
     nb = generate_neighborhood(
         x,
@@ -156,7 +128,6 @@ def cafa_local(
         k=cfg.k,
         max_attempts=cfg.max_attempts,
         seed=derive_seed(cfg.seed, _TAG_NEIGHBORHOOD),
-        sigma=cfg.sigma,
     )
 
     sparams = dataclasses.replace(
@@ -172,12 +143,9 @@ def cafa_local(
 
     rows = nb.data.X
     n = rows.shape[0]
-    if cfg.n_locals is not None:
-        n_locals = cfg.n_locals
-        if n_locals > n:
-            raise InvalidInputError(f"n_locals={n_locals} exceeds neighborhood size {n}")
-    else:
-        n_locals = n if cfg.explainer == "mc" else min(200, n)
+    n_locals = n if cfg.n_locals is None else cfg.n_locals
+    if n_locals > n:
+        raise InvalidInputError(f"n_locals={n_locals} exceeds neighborhood size {n}")
     if n_locals == n:
         idx = np.arange(n)
     else:
@@ -189,7 +157,15 @@ def cafa_local(
     bg = Background.from_dataset(
         nb.data, size=cfg.background_size, seed=derive_seed(cfg.seed, _TAG_BACKGROUND)
     )
-    per_row_phi, phi0 = _explain_rows(g, rows, idx, bg, cfg)
+    per_row_phi = np.empty((idx.size, rows.shape[1]), dtype=np.float64)
+    phi0 = 0.0
+    for pos, ri in enumerate(idx):
+        attr = shapley_mc(
+            g, rows[ri], bg, n_perms=cfg.n_perms, seed=derive_seed(cfg.seed, _TAG_ROW, int(ri))
+        )
+        per_row_phi[pos] = attr.phi
+        phi0 += attr.phi0
+    phi0 /= idx.size
     phi = per_row_phi.mean(axis=0)
     # Holding uncontrollables fixed everywhere guarantees exact zeros there;
     # a raise, not an assert, so the check survives ``python -O``.
@@ -305,7 +281,7 @@ def cafa_global(
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[0] < 1:
         raise InvalidInputError("need a non-empty 2-d matrix of instances")
-    pi = resolve_pi(cfg, schema, data)
+    pi = resolve_pi(cfg, data)
 
     results = []
     skipped = []

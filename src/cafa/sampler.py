@@ -20,7 +20,8 @@ from .distance import delta_to_rows
 from .errors import InvalidInputError, NeighborhoodImbalanceError
 from .schema import Dataset, FeatureSchema, validate_instance
 
-DEFAULT_SIGMA = 0.25
+# Standard deviation of the truncated Gaussian that perturbs a continuous feature.
+SIGMA = 0.25
 _CHUNK = 1024
 
 
@@ -36,7 +37,7 @@ class NeighborhoodSample:
     seed: int
 
 
-def perturb_batch(x, schema: FeatureSchema, rng, n: int, sigma: float = DEFAULT_SIGMA):
+def perturb_batch(x, schema: FeatureSchema, rng, n: int):
     """Draw ``n`` candidates around ``x`` varying only controllable features."""
     out = np.tile(np.asarray(x, dtype=np.float64), (n, 1))
     for j in schema.controllable_idx:
@@ -44,10 +45,10 @@ def perturb_batch(x, schema: FeatureSchema, rng, n: int, sigma: float = DEFAULT_
             out[:, j] = rng.integers(0, schema.vocab_sizes[j], size=n)
         else:
             mu = x[j]
-            lo = ndtr((0.0 - mu) / sigma)
-            hi = ndtr((1.0 - mu) / sigma)
+            lo = ndtr((0.0 - mu) / SIGMA)
+            hi = ndtr((1.0 - mu) / SIGMA)
             u = rng.random(n)
-            out[:, j] = np.clip(mu + sigma * ndtri(lo + u * (hi - lo)), 0.0, 1.0)
+            out[:, j] = np.clip(mu + SIGMA * ndtri(lo + u * (hi - lo)), 0.0, 1.0)
     return out
 
 
@@ -59,7 +60,6 @@ def generate_neighborhood(
     k: int,
     max_attempts: int = 200_000,
     seed: int = 0,
-    sigma: float = DEFAULT_SIGMA,
 ) -> NeighborhoodSample:
     """Rejection-sample a balanced labeled neighborhood of ``x``.
 
@@ -103,7 +103,7 @@ def generate_neighborhood(
                 attempts=attempts,
             )
         n_draw = min(_CHUNK, budget)
-        cand = perturb_batch(x, schema, rng, n_draw, sigma)
+        cand = perturb_batch(x, schema, rng, n_draw)
         attempts += n_draw
         keep = delta_to_rows(cand, x, schema) <= pi
         rejected_distance += int(n_draw - keep.sum())

@@ -104,9 +104,6 @@ class FeatureSchema:
     def arity(self) -> int:
         return len(self.features)
 
-    def __len__(self) -> int:
-        return len(self.features)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FeatureSchema) and self.features == other.features
 
@@ -236,11 +233,6 @@ class Dataset:
     @property
     def n_classes(self) -> int:
         return int(self.y.max()) + 1
-
-    def row(self, i: int) -> np.ndarray:
-        if not 0 <= i < self.n_rows:
-            raise InvalidInputError(f"row index {i} out of range [0, {self.n_rows})")
-        return self.X[i].copy()
 
 
 def normalize(value: float, lo: float, hi: float) -> float:
@@ -482,7 +474,7 @@ def encode_instance(schema: FeatureSchema, norm_params, raw: dict) -> np.ndarray
     return x
 
 
-def dataset_to_raw_csv(data: Dataset, path, label_name: str = "class") -> None:
+def dataset_to_raw_csv(data: Dataset, path) -> None:
     """Dump the dataset with original category labels and raw-scale values.
 
     The output re-ingests cleanly with the spec from
@@ -490,7 +482,7 @@ def dataset_to_raw_csv(data: Dataset, path, label_name: str = "class") -> None:
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(data.schema.names) + [label_name])
+        writer.writerow(list(data.schema.names) + ["class"])
         for i in range(data.n_rows):
             cells = []
             for j, f in enumerate(data.schema.features):
@@ -507,6 +499,6 @@ def dataset_to_raw_csv(data: Dataset, path, label_name: str = "class") -> None:
             writer.writerow(cells)
 
 
-def ingestion_spec_for(data: Dataset, label_name: str = "class") -> "IngestionSpec":
-    """Ingestion spec (closed vocabularies) matching a dataset's schema."""
-    return IngestionSpec.from_dict({"label": label_name, **data.schema.to_dict()})
+def ingestion_spec_for(data: Dataset) -> "IngestionSpec":
+    """Ingestion spec (closed vocabularies, label ``class``) matching a dataset's schema."""
+    return IngestionSpec.from_dict({"label": "class", **data.schema.to_dict()})

@@ -257,9 +257,15 @@ def test_experiment_flow(tmp_path):
         ("instance", lambda d: d.update(instance="x")),
         ("sample", lambda d: d.update(sample="two")),
         ("seed", lambda d: d.update(seed=1.5)),
+        ("dataset.spec", lambda d: d.update(dataset={"kind": "csv", "path": "d.csv", "spec": 0})),
+        ("dataset.path", lambda d: d.update(dataset={"kind": "csv", "path": 5, "spec": "s.json"})),
+        ("dataset.seed", lambda d: d["dataset"].update(seed="x")),
+        ("dataset.n_rows", lambda d: d["dataset"].update(n_rows="250")),
+        ("cafa", lambda d: d["cafa"].update(explainer="exact")),
     ],
     ids=["dataset-key", "model-key", "model-not-object", "surrogate-key", "dataset-not-object",
-         "csv-no-path-spec", "dataset-seed", "instance", "sample", "seed"],
+         "csv-no-path-spec", "dataset-seed", "instance", "sample", "seed", "csv-spec-not-str",
+         "csv-path-not-str", "synth-seed", "synth-n-rows", "removed-cafa-key"],
 )
 def test_experiment_bad_section_exit_2(tmp_path, capsys, section, edit):
     doc = _experiment_config(tmp_path / "out")

@@ -111,7 +111,7 @@ def test_exact_efficiency():
         x = random_rows(data.schema, rng, 1)[0]
         attr = shapley_exact(model, x, bg)
         fx = float(model.predict_proba(x[None, :])[0, 1])
-        assert abs(attr.total - fx) <= 1e-9
+        assert abs(attr.phi0 + attr.phi.sum() - fx) <= 1e-9
 
 
 def test_exact_symmetry():
@@ -190,7 +190,7 @@ def test_mc_local_accuracy():
         mc = shapley_mc(model, x, bg, n_perms=25, seed=i)
         fx = float(model.predict_proba(x[None, :])[0, 1])
         # telescoping makes this hold per permutation, not just in the limit
-        assert abs(mc.total - fx) <= 1e-6
+        assert abs(mc.phi0 + mc.phi.sum() - fx) <= 1e-6
 
 
 def test_mc_error_shrinks_with_more_permutations():

@@ -9,10 +9,10 @@ import pytest
 
 from cafa.bench import SynthSpec, generate_synth
 from cafa.errors import InvalidInputError, ModelFormatError, TrainingError
-from cafa.forest import ForestParams, RandomForest, Tree, accuracy, predict, train_forest
+from cafa.forest import ForestParams, RandomForest, Tree, accuracy, train_forest
 from cafa.schema import Dataset
 
-from .conftest import ProbModel, make_schema, stump
+from .conftest import make_schema, stump
 
 
 def _stump_ref(x, feature, threshold, left, right, is_cat=False):
@@ -124,19 +124,6 @@ def test_probabilities_form_a_simplex():
     probs = model.predict_proba(data.X)
     assert np.all(probs >= 0.0)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_predict_single_instance_and_tie_break():
-    data = generate_synth(SynthSpec(2, 0, 100, seed=2, kinds=("cont", "cont")))
-    model = train_forest(data, ForestParams(n_trees=10, seed=0))
-    cls, probs = predict(model, data.X[0])
-    assert cls == int(np.argmax(probs))
-    with pytest.raises(InvalidInputError):
-        predict(model, [0.5])  # arity mismatch
-    # exact tie resolves to the lowest class id
-    tie = ProbModel(lambda X: np.full(X.shape[0], 0.5))
-    cls, probs = predict(tie, np.array([0.3, 0.7]))
-    assert cls == 0 and probs[0] == probs[1] == 0.5
 
 
 def test_pure_leaf_region_probability_one():

@@ -149,7 +149,8 @@ def test_efficiency_on_average(synth_task):
     res = cafa_local(data.X[3], model, data.schema, CafaConfig(**FAST), data=data)
     rows = res.neighborhood.data.X[res.explained_rows]
     mean_prob = float(res.surrogate.predict_proba(rows)[:, 1].mean())
-    assert abs(res.attribution.total - mean_prob) <= 1e-6
+    attr = res.attribution
+    assert abs(attr.phi0 + attr.phi.sum() - mean_prob) <= 1e-6
 
 
 def test_reproducibility(synth_task):
@@ -244,10 +245,10 @@ def test_standard_shap_uses_background_size(synth_task):
 
 def test_resolve_pi(synth_task):
     data, _ = synth_task
-    assert resolve_pi(CafaConfig(pi=0.4), data.schema, None) == 0.4
+    assert resolve_pi(CafaConfig(pi=0.4), None) == 0.4
     with pytest.raises(InvalidInputError):
-        resolve_pi(CafaConfig(pi="estimate"), data.schema, None)
-    got = resolve_pi(CafaConfig(pi="estimate", seed=6), data.schema, data)
+        resolve_pi(CafaConfig(pi="estimate"), None)
+    got = resolve_pi(CafaConfig(pi="estimate", seed=6), data)
     want = estimate_proximity(data, n_pairs=10_000, seed=derive_seed(6, 0))
     assert got == want
 
@@ -258,7 +259,6 @@ def test_config_validation():
         dict(pi=0.0),
         dict(pi=1.5),
         dict(pi="auto"),
-        dict(explainer="tree"),
         dict(n_perms=0),
         dict(n_locals=0),
         dict(background_size=0),
@@ -267,6 +267,8 @@ def test_config_validation():
             CafaConfig(**bad)
     d = CafaConfig(k=3).to_dict()
     assert d["k"] == 3 and d["surrogate_params"]["n_trees"] == 100
+    assert set(d) == {"k", "pi", "surrogate_params", "n_perms", "n_locals", "background_size",
+                      "max_attempts", "exact_limit", "shap_perms", "seed"}
 
 
 def test_global_single_instance_equals_local(synth_task):

@@ -8,15 +8,15 @@ from scipy.stats import chisquare
 
 from cafa.distance import delta, delta_to_rows
 from cafa.errors import InvalidInputError, NeighborhoodImbalanceError
-from cafa.sampler import DEFAULT_SIGMA, generate_neighborhood, perturb_batch
+from cafa.sampler import generate_neighborhood, perturb_batch
 from cafa.schema import FeatureSchema
 
 from .conftest import ProbModel, make_schema, random_instance
 
 
-def perturb_once(x, schema: FeatureSchema, rng, sigma: float = DEFAULT_SIGMA):
+def perturb_once(x, schema: FeatureSchema, rng):
     """Single perturbation; uncontrollable features pass through unchanged."""
-    return perturb_batch(x, schema, rng, 1, sigma)[0]
+    return perturb_batch(x, schema, rng, 1)[0]
 
 
 @settings(max_examples=60)
@@ -59,7 +59,7 @@ def test_categorical_proposal_is_uniform():
 def test_continuous_proposal_stays_near_query():
     schema = make_schema(["cont"])
     x = np.array([0.5])
-    draws = perturb_batch(x, schema, np.random.default_rng(5), 10_000, sigma=0.25)[:, 0]
+    draws = perturb_batch(x, schema, np.random.default_rng(5), 10_000)[:, 0]
     assert draws.min() >= 0.0 and draws.max() <= 1.0
     assert abs(draws.mean() - 0.5) < 0.02  # symmetric truncation around 0.5
     assert 0.2 < draws.std() < 0.3
