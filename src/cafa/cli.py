@@ -43,7 +43,8 @@ def _add_data_args(p):
 def _add_cafa_args(p):
     p.add_argument("--k", type=int, default=200, help="per-class neighborhood size")
     p.add_argument("--pi", default="estimate", help="proximity threshold or 'estimate'")
-    p.add_argument("--n-perms", type=int, default=10, help="permutations per explained row")
+    p.add_argument("--n-perms", type=int, default=10,
+                   help="ignored: the forest surrogate is explained exactly")
     p.add_argument("--n-locals", type=int, default=None, help="neighborhood rows to explain")
     p.add_argument("--background", type=int, default=100, help="background sample size")
     p.add_argument("--surrogate-trees", type=int, default=100)

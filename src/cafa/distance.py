@@ -17,19 +17,23 @@ from .errors import InvalidInputError
 from .schema import Dataset, FeatureSchema, validate_instance
 
 
-def _weighted_sum(A: np.ndarray, B: np.ndarray, schema: FeatureSchema) -> np.ndarray:
+def _weighted_sum(A: np.ndarray, B: np.ndarray, schema: FeatureSchema, pairs=None) -> np.ndarray:
     """Weighted per-feature distance sum between the rows of ``A`` and ``B``.
 
     ``B`` is one instance (broadcast against every row) or a row matrix
-    paired row by row with ``A``.
+    paired row by row with ``A``. ``pairs``, an ``(ia, ib)`` pair of row
+    index arrays, pairs row ``ia[p]`` of ``A`` with row ``ib[p]`` of ``B``
+    instead; the rows are gathered one column group at a time, so the paired
+    rows are never copied whole.
     """
     cat = schema.is_categorical
     w = schema.weights
-    acc = np.zeros(A.shape[0], dtype=np.float64)
+    ia, ib = pairs if pairs is not None else (slice(None), Ellipsis)
+    acc = np.zeros(A.shape[0] if pairs is None else len(ia), dtype=np.float64)
     if cat.any():
-        acc += (A[:, cat] != B[..., cat]).astype(np.float64) @ w[cat]
+        acc += (A[:, cat][ia] != B[..., cat][ib]).astype(np.float64) @ w[cat]
     if (~cat).any():
-        acc += np.abs(A[:, ~cat] - B[..., ~cat]) @ w[~cat]
+        acc += np.abs(A[:, ~cat][ia] - B[..., ~cat][ib]) @ w[~cat]
     return acc
 
 
@@ -80,4 +84,4 @@ def estimate_proximity(data: Dataset, n_pairs: int = 10_000, seed: int = 0) -> f
     while clash.any():
         j[clash] = rng.integers(0, n, size=int(clash.sum()))
         clash = i == j
-    return float(_weighted_sum(X[i], X[j], schema).mean() / schema.weights.sum())
+    return float(_weighted_sum(X, X, schema, pairs=(i, j)).mean() / schema.weights.sum())

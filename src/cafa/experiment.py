@@ -75,8 +75,18 @@ def load_dataset(ds_cfg: dict):
             if key in fields:
                 fields[key] = _int(fields[key], f"dataset.{key}")
         for key in ("kinds", "rule_features", "rule_weights"):
-            if key in fields and fields[key] is not None:
-                fields[key] = tuple(fields[key])
+            value = fields.get(key)
+            if value is None:
+                continue
+            if not isinstance(value, list):
+                raise UsageError(f"dataset.{key} config must be a list, got {value!r}")
+            if key == "rule_features":
+                value = [_int(j, f"dataset.{key}") for j in value]
+            if key == "rule_weights" and not all(
+                isinstance(w, (int, float)) and not isinstance(w, bool) for w in value
+            ):
+                raise UsageError(f"dataset.{key} config must list numbers, got {value!r}")
+            fields[key] = tuple(value)
         return bench.generate_synth(_build(bench.SynthSpec, "dataset", fields))
     raise UsageError(
         f"dataset.kind must be one of csv|synth|covid_preset|lung_preset, got {kind!r}"

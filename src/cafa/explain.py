@@ -5,8 +5,11 @@ removal is interventional: the value of a coalition S is the model's mean
 prediction over background rows with the coalition's columns overwritten by
 the query's values.
 
-Models are assumed to score rows independently: ``predict_proba`` gives
-each row the same output whatever else is in the batch. Batching model calls
+A ``RandomForest`` is explained in closed form, leaf by leaf, by
+``shapley_forest``; ``shapley_exact`` and ``shapley_mc`` serve any other
+``predict_proba`` model. Models are assumed to score rows independently:
+``predict_proba`` gives each row the same output whatever else is in the
+batch. Batching model calls
 (``_prob1``) and scoring each distinct coalition row only once
 (``_coalition_means``) both rely on this, and neither changes a single bit
 of the result for such a model.
@@ -25,6 +28,9 @@ from .schema import Dataset, FeatureSchema
 
 # Cap on rows per model call so coalition matrices stay small.
 _BATCH_ROWS = 262_144
+# Bytes per leaf chunk of the tree explainer's (leaves, rows, background)
+# temporaries; a larger budget raises peak memory without a speed gain.
+_TREE_CHUNK_BYTES = 256 * 1024
 
 
 def derive_seed(base: int, *path: int) -> int:
@@ -187,6 +193,127 @@ def shapley_mc(f, x, bg: Background, n_perms: int = 2000, seed: int = 0) -> Attr
         np.add.at(phi, chunk.ravel(), (v[:, 1:] - v[:, :-1]).ravel())
     phi /= n_perms
     return Attribution(phi=phi, phi0=phi0, method="mc-shap", seed=seed)
+
+
+def _forest_paths(forest):
+    """Root-to-leaf paths of the leaves with a positive class-1 value.
+
+    Returns the node arrays of all trees laid end to end (``feature``,
+    ``threshold``, ``is_cat``), ``path``, the ``(L, D)`` node indices of each
+    leaf's tests padded with -1 to the forest depth ``D``, ``went_left``,
+    whether the path takes each node's left branch, and ``v``, the leaf's
+    class-1 probability divided by the tree count. Leaves with ``v == 0``
+    add nothing to any Shapley value and are dropped.
+    """
+    trees = forest.trees
+    starts = np.cumsum([0] + [t.feature.size for t in trees])
+    feature = np.concatenate([t.feature for t in trees])
+    left = np.concatenate([t.left + s for t, s in zip(trees, starts)])
+    right = np.concatenate([t.right + s for t, s in zip(trees, starts)])
+    value = np.concatenate([t.leaf_prob[:, 1] for t in trees]) / len(trees)
+    D = max(t.depth for t in trees)
+
+    # Walk all trees one level at a time, extending every open path.
+    node = starts[:-1]
+    path = np.empty((node.size, 0), dtype=np.int64)
+    went_left = np.empty((node.size, 0), dtype=bool)
+    leaves, paths, lefts = [], [], []
+    for d in range(D + 1):
+        at_leaf = feature[node] < 0
+        keep = at_leaf & (value[node] > 0.0)
+        leaves.append(node[keep])
+        paths.append(np.pad(path[keep], ((0, 0), (0, D - d)), constant_values=-1))
+        lefts.append(np.pad(went_left[keep], ((0, 0), (0, D - d))))
+        inner = ~at_leaf
+        parent = node[inner]
+        node = np.concatenate([left[parent], right[parent]])
+        path = np.tile(np.column_stack([path[inner], parent]), (2, 1))
+        went_left = np.column_stack([
+            np.tile(went_left[inner], (2, 1)), np.repeat([True, False], parent.size),
+        ])
+    threshold = np.concatenate([t.threshold for t in trees])
+    is_cat = np.concatenate([t.is_cat for t in trees])
+    return (feature, threshold, is_cat, np.concatenate(paths), np.concatenate(lefts),
+            value[np.concatenate(leaves)])
+
+
+def shapley_forest(forest, X, bg: Background) -> tuple[np.ndarray, float]:
+    """Exact interventional Shapley values of a ``RandomForest``, leaf by leaf.
+
+    Returns the ``(n, m)`` per-row values of the rows of ``X`` and ``phi0``,
+    the mean class-1 probability of the background rows. For a row x, a
+    background row b and one leaf, let A be the path features whose tests
+    only x passes and C those only b passes (a feature passes when it passes
+    every test on it along the path). When x or b passes every path feature,
+    the leaf's hybrid game is an AND game worth v on coalitions that hold A
+    and avoid C, so each j in A gets ``v (|A|-1)! |C|! / (|A|+|C|)!`` and
+    each j in C gets ``-v |A|! (|C|-1)! / (|A|+|C|)!``; otherwise no hybrid
+    row reaches the leaf (Lundberg et al. 2020). No coalition row is built
+    or scored. A column on which x and every b agree never enters A or C, so
+    its value is exactly ``+0.0``, as is that of a feature no tree splits on.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    n, m = X.shape
+    B = bg.size
+    phi0 = float(_prob1(forest, bg.rows).mean())
+    feature, threshold, is_cat, path, went_left, v = _forest_paths(forest)
+    L, D = path.shape
+    # Terms are only ever added to +0.0, so a column whose terms are all
+    # zeros of either sign ends as +0.0.
+    phi = np.zeros((n, m), dtype=np.float64)
+    if D == 0:  # every tree is a single leaf, which every hybrid row reaches
+        return phi, phi0
+
+    # Weights of a pair with |A| = a and |C| = c, at index a * (D + 1) + c;
+    # the last entry is for pairs that reach no hybrid row of the leaf.
+    fact = [math.factorial(i) for i in range(D + 1)]
+    w_in = np.zeros((D + 1) ** 2 + 1)
+    w_out = np.zeros_like(w_in)
+    for a in range(D + 1):
+        for c in range(D + 1 - a):
+            if a:
+                w_in[a * (D + 1) + c] = fact[a - 1] * fact[c] / fact[a + c]
+            if c:
+                w_out[a * (D + 1) + c] = -fact[a] * fact[c - 1] / fact[a + c]
+    unreachable = w_in.size - 1
+
+    ZT = np.ascontiguousarray(np.vstack([X, bg.rows]).T)
+    step = max(1, _TREE_CHUNK_BYTES // (8 * (n * B + (n + B) * D)))
+    positions = np.arange(D)
+    for lo in range(0, L, step):
+        p = path[lo : lo + step]
+        real = p >= 0
+        feat = np.where(real, feature[p], 0)
+        # A path feature's tests all land in one slot, the position of its
+        # first test; the other positions stay empty and pass for every row.
+        same = (feat[:, :, None] == feat[:, None, :]) & real[:, None, :]
+        slot = np.where(real, np.argmax(same, axis=2), positions)
+        vals = ZT[feat]  # (l, D, n + B)
+        thr = threshold[p][:, :, None]
+        go_left = np.where(is_cat[p][:, :, None], vals == thr, vals <= thr)
+        fails = (go_left != went_left[lo : lo + step, :, None]) & real[:, :, None]
+        to_slot = (slot[:, None, :] == positions[:, None]).astype(np.float64)
+        passes = (to_slot @ fails == 0.0).astype(np.float64)  # (l, D, n + B)
+        px, pb = passes[:, :, :n], passes[:, :, n:].transpose(0, 2, 1)
+        both = pb @ px  # (l, B, n)
+        kx = px.sum(axis=1)[:, None, :]
+        kb = pb.sum(axis=2)[:, :, None]
+        # x or b passes every slot when the union has D slots; then
+        # |A| = kx - both and |C| = kb - both.
+        reach = kx + kb - both == D
+        key = kx * (D + 1) + kb - both * (D + 2)
+        key[~reach] = unreachable
+        key = key.astype(np.intp).transpose(0, 2, 1)  # (l, n, B)
+        gain = w_in[key] @ (1.0 - pb)  # (l, n, D)
+        loss = w_out[key] @ pb
+        pxt = px.transpose(0, 2, 1)
+        contrib = (pxt * gain + (1.0 - pxt) * loss) * v[lo : lo + step, None, None]
+        owns = np.flatnonzero((slot == positions) & real)
+        to_feature = np.zeros((p.size, m))
+        to_feature[owns, feat.ravel()[owns]] = 1.0
+        phi += contrib.transpose(1, 0, 2).reshape(n, -1) @ to_feature
+    phi /= B
+    return phi, phi0
 
 
 def lime_explain(

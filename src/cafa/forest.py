@@ -57,29 +57,41 @@ class Tree:
     traversal can run a fixed number of steps.
     """
 
+    # Every result keeps its surrogate's trees alive, so a tree stores its
+    # indices as int32, has no per-instance dict and holds no views.
+    __slots__ = ("feature", "is_cat", "threshold", "_children", "leaf_prob", "depth")
+
     def __init__(self, feature, is_cat, threshold, left, right, leaf_prob):
-        self.feature = np.asarray(feature, dtype=np.int64)
+        self.feature = np.asarray(feature, dtype=np.int32)
         self.is_cat = np.asarray(is_cat, dtype=bool)
         self.threshold = np.asarray(threshold, dtype=np.float64)
-        # One interleaved child table, node i's children at 2 * i and
-        # 2 * i + 1, so traversal steps with a single gather.
+        # One interleaved child table, node i's children at flat positions
+        # 2 * i and 2 * i + 1, so traversal steps with a single gather.
         self._children = np.stack(
-            [np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64)], axis=1
-        ).ravel()
-        self.left = self._children[0::2]
-        self.right = self._children[1::2]
+            [np.asarray(left, dtype=np.int32), np.asarray(right, dtype=np.int32)], axis=1
+        )
         self.leaf_prob = np.asarray(leaf_prob, dtype=np.float64)
         self.depth = self._measure_depth()
 
+    @property
+    def left(self) -> np.ndarray:
+        return self._children[:, 0]
+
+    @property
+    def right(self) -> np.ndarray:
+        return self._children[:, 1]
+
     def _measure_depth(self) -> int:
+        feature = self.feature.tolist()
+        children = self._children.tolist()
         depth = 0
         frontier = [(0, 0)]
         while frontier:
             node, d = frontier.pop()
             depth = max(depth, d)
-            if self.feature[node] >= 0:
-                frontier.append((int(self.left[node]), d + 1))
-                frontier.append((int(self.right[node]), d + 1))
+            if feature[node] >= 0:
+                left, right = children[node]
+                frontier += ((left, d + 1), (right, d + 1))
         return depth
 
     def apply(self, X: np.ndarray) -> np.ndarray:
@@ -87,13 +99,15 @@ class Tree:
         n, m = X.shape
         flat = X.ravel()
         row_start = np.arange(0, n * m, m)
-        gather = np.maximum(self.feature, 0)
+        # Index with intp copies, so no step converts its indices.
+        gather = np.maximum(self.feature, 0).astype(np.intp)
+        children = self._children.ravel().astype(np.intp)
         node = np.zeros(n, dtype=np.int64)
         for _ in range(self.depth):
             vals = flat.take(row_start + gather.take(node))
             thr = self.threshold.take(node)
             go_left = np.where(self.is_cat.take(node), vals == thr, vals <= thr)
-            node = self._children.take(2 * node + ~go_left)
+            node = children.take(2 * node + ~go_left)
         return node
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

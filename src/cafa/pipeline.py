@@ -3,9 +3,11 @@
 The local pipeline: sample a balanced neighborhood of the query that holds
 uncontrollable features fixed, fit a surrogate forest on the model-labeled
 neighborhood, explain the surrogate row by row with Shapley values against
-a background drawn from the same neighborhood, and average. Uncontrollable
-features are constant across the query, every neighborhood row, and every
-background row, so their attributions are exactly zero by construction.
+a background drawn from the same neighborhood, and average. The surrogate
+is a forest, so its Shapley values are exact, computed leaf by leaf
+(``explain.shapley_forest``). Uncontrollable features are constant across
+the query, every neighborhood row, and every background row, so their
+attributions are exactly zero by construction.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .explain import (
     derive_seed,
     global_explanation,
     shapley_exact,
+    shapley_forest,
     shapley_mc,
 )
 from .forest import ForestParams, RandomForest, accuracy, train_forest
@@ -42,7 +45,6 @@ _TAG_PROXIMITY = 0
 _TAG_NEIGHBORHOOD = 1
 _TAG_SURROGATE = 2
 _TAG_BACKGROUND = 4
-_TAG_ROW = 5
 _TAG_SHAP_BG = 6
 _TAG_SHAP_MC = 7
 _TAG_GLOBAL = 10
@@ -50,7 +52,14 @@ _TAG_GLOBAL = 10
 
 @dataclass(frozen=True)
 class CafaConfig:
-    """Knobs for one local explanation run."""
+    """Knobs for one local explanation run.
+
+    ``n_perms`` has no effect: the surrogate is always a forest and is
+    explained exactly. It is still validated and recorded. ``exact_limit``
+    and ``shap_perms`` apply only to ``standard_shap`` of a model that is
+    not a ``RandomForest``: enumeration up to ``exact_limit`` features,
+    ``shap_perms`` sampled permutations beyond.
+    """
 
     k: int = 500
     pi: float | str = "estimate"
@@ -157,15 +166,7 @@ def cafa_local(
     bg = Background.from_dataset(
         nb.data, size=cfg.background_size, seed=derive_seed(cfg.seed, _TAG_BACKGROUND)
     )
-    per_row_phi = np.empty((idx.size, rows.shape[1]), dtype=np.float64)
-    phi0 = 0.0
-    for pos, ri in enumerate(idx):
-        attr = shapley_mc(
-            g, rows[ri], bg, n_perms=cfg.n_perms, seed=derive_seed(cfg.seed, _TAG_ROW, int(ri))
-        )
-        per_row_phi[pos] = attr.phi
-        phi0 += attr.phi0
-    phi0 /= idx.size
+    per_row_phi, phi0 = shapley_forest(g, rows[idx], bg)
     phi = per_row_phi.mean(axis=0)
     # Holding uncontrollables fixed everywhere guarantees exact zeros there;
     # a raise, not an assert, so the check survives ``python -O``.
@@ -197,7 +198,8 @@ def standard_shap(
     data: Dataset | None = None,
 ) -> Attribution:
     """Ordinary full-model Shapley attribution (no controllability masking)
-    against ``cfg.background_size`` rows drawn from ``data``."""
+    against ``cfg.background_size`` rows drawn from ``data``; exact and
+    leaf-wise for a ``RandomForest``."""
     cfg = cfg or CafaConfig()
     x = validate_instance(schema, x)
     if data is None:
@@ -205,6 +207,9 @@ def standard_shap(
     bg = Background.from_dataset(
         data, size=cfg.background_size, seed=derive_seed(cfg.seed, _TAG_SHAP_BG)
     )
+    if isinstance(f, RandomForest):
+        phi, phi0 = shapley_forest(f, x, bg)
+        return Attribution(phi=phi[0], phi0=phi0, method="tree-shap")
     m = len(schema.features)
     if m <= cfg.exact_limit:
         return shapley_exact(f, x, bg, exact_limit=cfg.exact_limit)

@@ -99,7 +99,7 @@ def test_explain_shap(ws, tmp_path):
     out = tmp_path / "s"
     assert _explain(ws, out, "--method", "shap", "--instance", "5") == 0
     doc = _json(out / "attribution.json")
-    assert doc["method"] == "exact-shap"  # 4 features, exact path
+    assert doc["method"] == "tree-shap"  # the model is a forest
     assert not (out / "summary.svg").exists()  # no per-row attributions here
 
 
@@ -262,10 +262,18 @@ def test_experiment_flow(tmp_path):
         ("dataset.seed", lambda d: d["dataset"].update(seed="x")),
         ("dataset.n_rows", lambda d: d["dataset"].update(n_rows="250")),
         ("cafa", lambda d: d["cafa"].update(explainer="exact")),
+        ("dataset.kinds", lambda d: d["dataset"].update(kinds=5)),
+        ("dataset.kinds", lambda d: d["dataset"].update(kinds="cont")),
+        ("dataset.rule_features", lambda d: d["dataset"].update(rule_features=0)),
+        ("dataset.rule_features", lambda d: d["dataset"].update(rule_features=[1.5])),
+        ("dataset.rule_weights", lambda d: d["dataset"].update(rule_weights={"a": 1})),
+        ("dataset.rule_weights", lambda d: d["dataset"].update(rule_weights=["a", "b"])),
     ],
     ids=["dataset-key", "model-key", "model-not-object", "surrogate-key", "dataset-not-object",
          "csv-no-path-spec", "dataset-seed", "instance", "sample", "seed", "csv-spec-not-str",
-         "csv-path-not-str", "synth-seed", "synth-n-rows", "removed-cafa-key"],
+         "csv-path-not-str", "synth-seed", "synth-n-rows", "removed-cafa-key", "synth-kinds-int",
+         "synth-kinds-str", "synth-rule-features-int", "synth-rule-features-float",
+         "synth-rule-weights-object", "synth-rule-weights-str"],
 )
 def test_experiment_bad_section_exit_2(tmp_path, capsys, section, edit):
     doc = _experiment_config(tmp_path / "out")

@@ -1,5 +1,6 @@
 """Shapley engines, the weighted-linear baseline, and aggregation."""
 
+import json
 import math
 from itertools import combinations
 
@@ -15,9 +16,10 @@ from cafa.explain import (
     global_explanation,
     lime_explain,
     shapley_exact,
+    shapley_forest,
     shapley_mc,
 )
-from cafa.forest import ForestParams, RandomForest, train_forest
+from cafa.forest import ForestParams, RandomForest, Tree, train_forest
 
 from .conftest import ProbModel, coalition_value, make_schema, random_rows, stump
 
@@ -343,6 +345,140 @@ def test_each_distinct_coalition_row_scored_once(m, n_bg):
     rank = np.argsort(perms, axis=1)
     pinned = (rank[:, None, :] < np.arange(m + 1)[None, :, None]).reshape(-1, m)
     _assert_scored_once(counter, x, bg, pinned)
+
+
+# --- exact tree path --------------------------------------------------------
+
+def _chain_tree(schema, rng, depth, features):
+    """A tree with one path of ``depth`` tests on ``features`` (repeats
+    allowed) and a leaf beside every test; the first test is categorical and
+    the path takes its right branch."""
+    feature, is_cat, threshold, left, right, prob = [], [], [], [], [], []
+
+    def node(f=-1, cat=False, thr=0.0):
+        feature.append(f)
+        is_cat.append(cat)
+        threshold.append(thr)
+        left.append(len(left))
+        right.append(len(right))
+        p = rng.random()
+        prob.append([1.0 - p, p])
+        return len(feature) - 1
+
+    cur = None
+    for d in range(depth):
+        f = int(features[d % len(features)])
+        cat = bool(schema.is_categorical[f])
+        thr = float(rng.integers(schema.vocab_sizes[f])) if cat else float(rng.random())
+        here = node(f, cat, thr)
+        if cur is not None:
+            (left if went_left else right)[cur] = here
+        went_left = d > 0 and bool(rng.random() < 0.5)
+        (right if went_left else left)[here] = node()
+        cur = here
+    (left if went_left else right)[cur] = node()
+    return Tree(feature, is_cat, threshold, left, right, np.array(prob))
+
+
+def _tree_case(m, n_bg, seed):
+    """``_mixed_case`` with two depth-10 chain trees added to its forest."""
+    model, x, bg = _mixed_case(m, n_bg, seed)
+    rng = np.random.default_rng(seed)
+    cat = np.flatnonzero(model.schema.is_categorical)
+    chains = [
+        _chain_tree(model.schema, rng, 10, [cat[0], *rng.choice(m, size=3, replace=False)])
+        for _ in range(2)
+    ]
+    forest = RandomForest(model.trees + chains, model.params, model.schema, 2)
+    return forest, x, bg
+
+
+def _paths(tree):
+    """Root-to-leaf test lists ``(feature, is_cat, went_left)`` of a tree."""
+    out, stack = [], [(0, ())]
+    while stack:
+        node, tests = stack.pop()
+        f = int(tree.feature[node])
+        if f < 0:
+            out.append(tests)
+            continue
+        c = bool(tree.is_cat[node])
+        stack.append((int(tree.left[node]), tests + ((f, c, True),)))
+        stack.append((int(tree.right[node]), tests + ((f, c, False),)))
+    return out
+
+
+@pytest.mark.parametrize("m, n_bg", [(3, 7), (3, 1), (6, 9), (9, 12), (9, 1), (10, 4)])
+def test_tree_path_matches_exact_enumeration(m, n_bg):
+    forest, x, bg = _tree_case(m, n_bg, seed=m + n_bg)
+    paths = [p for t in forest.trees for p in _paths(t)]
+    assert max(t.depth for t in forest.trees) == 10
+    assert any(len({f for f, _, _ in p}) < len(p) for p in paths)  # a repeated feature
+    assert any(c and not left for p in paths for _, c, left in p)  # a categorical right branch
+    # the query, a copy of a background row, and a row sharing half of each
+    X = np.vstack([x, bg.rows[0], np.where(np.arange(m) % 2, x, bg.rows[-1])])
+    phi, phi0 = shapley_forest(forest, X, bg)
+    for i in range(X.shape[0]):
+        want = shapley_exact(forest, X[i], bg)
+        assert np.max(np.abs(phi[i] - want.phi)) <= 1e-12
+        assert abs(phi0 - want.phi0) <= 1e-12
+
+
+def test_tree_path_zeros_are_positive():
+    forest, x, bg = _tree_case(9, 12, seed=5)
+    pinned = np.arange(0, 9, 3)  # _mixed_case pins these columns in the background
+    rng = np.random.default_rng(0)
+    X = bg.rows[rng.permutation(bg.size)]
+    X[::2, 1:] = x[1:]
+    phi, _ = shapley_forest(forest, X, bg)
+    assert np.all(phi[:, pinned] == 0.0) and not np.any(np.signbit(phi[:, pinned]))
+    assert np.any(phi != 0.0)
+
+    # features no tree splits on: a forest of chain trees on two columns
+    chains = [_chain_tree(forest.schema, rng, 6, [1, 5]) for _ in range(3)]
+    sparse = RandomForest(chains, forest.params, forest.schema, 2)
+    phi, _ = shapley_forest(sparse, X, bg)
+    unsplit = [j for j in range(9) if j not in (1, 5)]
+    assert np.all(phi[:, unsplit] == 0.0) and not np.any(np.signbit(phi[:, unsplit]))
+    assert np.any(phi[:, [1, 5]] != 0.0)
+
+    # a forest of single leaves splits on nothing at all
+    leaf = Tree([-1], [False], [0.0], [0], [0], [[0.4, 0.6]])
+    phi, phi0 = shapley_forest(RandomForest([leaf], forest.params, forest.schema, 2), X, bg)
+    assert np.all(phi == 0.0) and not np.any(np.signbit(phi)) and abs(phi0 - 0.6) <= 1e-15
+
+
+@pytest.mark.parametrize("m, n_bg", [(3, 1), (9, 12), (70, 5)])
+def test_tree_path_efficiency_per_row(m, n_bg):
+    forest, x, bg = _tree_case(m, n_bg, seed=m)
+    X = np.vstack([x, bg.rows, bg.rows[::-1] * 0.5])
+    phi, phi0 = shapley_forest(forest, X, bg)
+    want = forest.predict_proba(X)[:, 1]
+    assert np.max(np.abs(phi0 + phi.sum(axis=1) - want)) <= 1e-12
+
+
+def test_tree_path_reloaded_forest_bit_identical():
+    forest, x, bg = _tree_case(9, 12, seed=2)
+    again = RandomForest.from_dict(json.loads(json.dumps(forest.to_dict())))
+    X = np.vstack([x, bg.rows])
+    phi, phi0 = shapley_forest(forest, X, bg)
+    phi_again, phi0_again = shapley_forest(again, X, bg)
+    assert np.array_equal(phi, phi_again) and phi0 == phi0_again
+
+
+def test_tree_path_scores_no_coalition_row(monkeypatch):
+    forest, x, bg = _tree_case(9, 12, seed=3)
+    seen = []
+    predict = RandomForest.predict_proba
+
+    def counting(self, X):
+        seen.append(np.array(X, copy=True))
+        return predict(self, X)
+
+    monkeypatch.setattr(RandomForest, "predict_proba", counting)
+    shapley_forest(forest, np.vstack([x, bg.rows[:3]]), bg)
+    # only the background rows themselves are scored, once, for phi0
+    assert len(seen) == 1 and np.array_equal(seen[0], bg.rows)
 
 
 # --- LIME-style baseline ----------------------------------------------------

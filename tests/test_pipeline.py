@@ -19,7 +19,7 @@ from cafa.errors import (
     InvalidInputError,
     NeighborhoodImbalanceError,
 )
-from cafa.explain import Attribution, derive_seed, shapley_mc
+from cafa.explain import Background, derive_seed, shapley_exact, shapley_forest
 from cafa.forest import ForestParams, train_forest
 from cafa.pipeline import (
     CafaConfig,
@@ -78,13 +78,13 @@ def test_hard_zero_and_linearity(synth_task):
 
 
 def _leak_into(shapley_fn, col):
-    """Wrap a Shapley engine so it reports a small nonzero value on ``col``."""
+    """Wrap the tree explainer so it reports a small nonzero value on ``col``."""
 
     def leaky(*args, **kwargs):
-        attr = shapley_fn(*args, **kwargs)
-        phi = attr.phi.copy()
-        phi[col] = 1e-3
-        return Attribution(phi=phi, phi0=attr.phi0, method=attr.method, seed=attr.seed)
+        phi, phi0 = shapley_fn(*args, **kwargs)
+        phi = phi.copy()
+        phi[:, col] = 1e-3
+        return phi, phi0
 
     return leaky
 
@@ -92,7 +92,7 @@ def _leak_into(shapley_fn, col):
 def test_nonzero_uncontrollable_raises(synth_task, monkeypatch):
     data, model = synth_task
     col = int(data.schema.uncontrollable_idx[0])
-    monkeypatch.setattr("cafa.pipeline.shapley_mc", _leak_into(shapley_mc, col))
+    monkeypatch.setattr("cafa.pipeline.shapley_forest", _leak_into(shapley_forest, col))
     with pytest.raises(ExplanationError, match="uncontrollable"):
         cafa_local(data.X[10], model, data.schema, CafaConfig(**FAST), data=data)
 
@@ -107,7 +107,7 @@ _LEAK_UNDER_O = textwrap.dedent("""
 
     data, model = _make_synth_task()
     col = int(data.schema.uncontrollable_idx[0])
-    pipeline.shapley_mc = _leak_into(pipeline.shapley_mc, col)
+    pipeline.shapley_forest = _leak_into(pipeline.shapley_forest, col)
     try:
         pipeline.cafa_local(data.X[10], model, data.schema, pipeline.CafaConfig(**FAST), data=data)
     except ExplanationError as exc:
@@ -129,19 +129,21 @@ def test_nonzero_uncontrollable_raises_under_optimize():
 
 
 def test_per_row_recomputation_oracle(synth_task):
-    # re-derive a few per-row attributions from the stored surrogate,
-    # background, and seed scheme; they must match to the bit
+    # the per-row attributions are the surrogate's exact Shapley values
+    # against the stored background, and re-deriving them from the stored
+    # surrogate and background reproduces them to the bit
     data, model = synth_task
     cfg = CafaConfig(**FAST)
     res = cafa_local(data.X[25], model, data.schema, cfg, data=data)
     rows = res.neighborhood.data.X
     for pos in (0, len(res.explained_rows) // 2, len(res.explained_rows) - 1):
         ri = int(res.explained_rows[pos])
-        again = shapley_mc(
-            res.surrogate, rows[ri], res.background,
-            n_perms=cfg.n_perms, seed=derive_seed(cfg.seed, 5, ri),
-        )
-        assert np.array_equal(again.phi, res.per_row_phi[pos])
+        exact = shapley_exact(res.surrogate, rows[ri], res.background)
+        assert np.max(np.abs(exact.phi - res.per_row_phi[pos])) <= 1e-12
+        assert abs(exact.phi0 - res.attribution.phi0) <= 1e-12
+    again, phi0 = shapley_forest(res.surrogate, rows[res.explained_rows], res.background)
+    assert np.array_equal(again, res.per_row_phi)
+    assert phi0 == res.attribution.phi0
 
 
 def test_efficiency_on_average(synth_task):
@@ -216,7 +218,7 @@ def test_compare_with_shap_smoke(synth_task):
     data, model = synth_task
     out = compare_with_shap(data.X[5], model, data.schema, CafaConfig(**FAST), data=data)
     assert -1.0 <= out.pearson_controllable <= 1.0
-    assert out.shap.method == "exact-shap"  # 6 features fit the exact budget
+    assert out.shap.method == "tree-shap"  # the full model is a forest
     unc = data.schema.uncontrollable_idx
     assert np.all(out.cafa.attribution.phi[unc] == 0.0)
     assert np.any(out.shap.phi[unc] != 0.0)  # plain attribution has no such zeros
@@ -225,11 +227,21 @@ def test_compare_with_shap_smoke(synth_task):
 def test_standard_shap_paths(synth_task):
     data, model = synth_task
     x = data.X[0]
-    exact = standard_shap(x, model, data.schema, CafaConfig(seed=1), data=data)
+    # a forest goes down the tree path whatever exact_limit says
+    for cfg in (CafaConfig(seed=1), CafaConfig(seed=1, exact_limit=3, shap_perms=40)):
+        tree = standard_shap(x, model, data.schema, cfg, data=data)
+        assert tree.method == "tree-shap"
+    # any other predict_proba model is enumerated or sampled
+    f = ProbModel(lambda X: 0.3 * X[:, 0] + 0.2 * X[:, 2] * X[:, 3] + 0.1 * X[:, 5])
+    exact = standard_shap(x, f, data.schema, CafaConfig(seed=1), data=data)
     assert exact.method == "exact-shap"
-    mc = standard_shap(x, model, data.schema, CafaConfig(seed=1, exact_limit=3, shap_perms=40),
+    mc = standard_shap(x, f, data.schema, CafaConfig(seed=1, exact_limit=3, shap_perms=40),
                        data=data)
     assert mc.method == "mc-shap"
+    assert np.max(np.abs(mc.phi - exact.phi)) < 0.05
+    # the tree path and enumeration agree on the forest
+    want = shapley_exact(model, x, Background.from_dataset(data, 100, derive_seed(1, 6)))
+    assert np.max(np.abs(tree.phi - want.phi)) <= 1e-12
     with pytest.raises(InvalidInputError):
         standard_shap(x, model, data.schema, CafaConfig(seed=1))  # background needs data
 
