@@ -9,10 +9,9 @@ A ``RandomForest`` is explained in closed form, leaf by leaf, by
 ``shapley_forest``; ``shapley_exact`` and ``shapley_mc`` serve any other
 ``predict_proba`` model. Models are assumed to score rows independently:
 ``predict_proba`` gives each row the same output whatever else is in the
-batch. Batching model calls
-(``_prob1``) and scoring each distinct coalition row only once
-(``_coalition_means``) both rely on this, and neither changes a single bit
-of the result for such a model.
+batch. Batching model calls (``_prob1``) and scoring each distinct
+coalition row only once (``_coalition_means``) both rely on this, and
+neither changes a single bit of the result for such a model.
 """
 
 from __future__ import annotations
