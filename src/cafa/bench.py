@@ -73,6 +73,8 @@ class SynthSpec:
             if len(self.rule_features) < 1:
                 raise InvalidInputError("rule must use at least one feature")
             for j in self.rule_features:
+                if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+                    raise InvalidInputError(f"rule feature index must be an integer, got {j!r}")
                 if not 0 <= j < m:
                     raise InvalidInputError(f"rule feature index {j} out of range")
         if self.rule_weights is not None:

@@ -12,6 +12,7 @@ a trained forest.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -50,48 +51,101 @@ class ForestParams:
         }
 
 
-class Tree:
-    """Flat-array decision tree.
+@functools.lru_cache(maxsize=None)
+def _node_dtype(n_classes: int, index: type, value: type) -> np.dtype:
+    """Record of one tree node: its split test, children and class values."""
+    return np.dtype([
+        ("feature", index), ("left", index), ("right", index), ("is_cat", np.bool_),
+        ("threshold", np.float64), ("value", value, (n_classes,)),
+    ])
 
-    ``feature[i] == -1`` marks a leaf; leaves point to themselves so batch
-    traversal can run a fixed number of steps.
+
+def _narrowest(top: int, types) -> type:
+    """The first of ``types`` whose range reaches ``top``."""
+    return next(t for t in types if top <= np.iinfo(t).max)
+
+
+class Tree:
+    """Decision tree stored as one packed, read-only record array.
+
+    Node ``i`` is record ``i``: its split ``feature`` (``-1`` marks a leaf),
+    ``is_cat``, ``threshold``, ``left`` and ``right`` children, and its
+    class ``value``s. Leaves point to themselves so batch traversal can run
+    a fixed number of steps. Indices are int16 when the node count and every
+    feature index fit, else int32.
+
+    A tree is given either every node's class probabilities, ``leaf_prob``,
+    or the class counts of the training rows that reached it, ``counts``.
+    Counts are stored in the narrowest unsigned type that holds them (one
+    byte per class up to 255 rows, against eight for a probability), and
+    ``leaf_prob`` divides them by the node's row count on access, which
+    gives the probabilities bit for bit.
     """
 
-    # Every result keeps its surrogate's trees alive, so a tree stores its
-    # indices as int32, has no per-instance dict and holds no views.
-    __slots__ = ("feature", "is_cat", "threshold", "_children", "leaf_prob", "depth")
+    # Every result keeps its surrogate's trees alive, so a tree holds one
+    # array and no per-instance dict; the fields are views made on access.
+    __slots__ = ("_nodes", "depth")
 
-    def __init__(self, feature, is_cat, threshold, left, right, leaf_prob):
-        self.feature = np.asarray(feature, dtype=np.int32)
-        self.is_cat = np.asarray(is_cat, dtype=bool)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        # One interleaved child table, node i's children at flat positions
-        # 2 * i and 2 * i + 1, so traversal steps with a single gather.
-        self._children = np.stack(
-            [np.asarray(left, dtype=np.int32), np.asarray(right, dtype=np.int32)], axis=1
-        )
-        self.leaf_prob = np.asarray(leaf_prob, dtype=np.float64)
+    def __init__(self, feature, is_cat, threshold, left, right, leaf_prob=None, counts=None):
+        feature, left, right = (np.asarray(a, dtype=np.int64) for a in (feature, left, right))
+        if counts is None:
+            value = np.asarray(leaf_prob, dtype=np.float64)
+            value_type = np.float64
+        else:
+            value = np.asarray(counts)
+            value_type = _narrowest(value.max(), (np.uint8, np.uint16, np.uint32, np.uint64))
+        top = max(feature.size - 1, feature.max(), left.max(), right.max())
+        index = _narrowest(top, (np.int16, np.int32))
+        nodes = np.empty(feature.size, dtype=_node_dtype(value.shape[1], index, value_type))
+        nodes["feature"] = feature
+        nodes["left"] = left
+        nodes["right"] = right
+        nodes["is_cat"] = is_cat
+        nodes["threshold"] = threshold
+        nodes["value"] = value
+        nodes.flags.writeable = False
+        self._nodes = nodes
         self.depth = self._measure_depth()
 
     @property
+    def feature(self) -> np.ndarray:
+        return self._nodes["feature"]
+
+    @property
+    def is_cat(self) -> np.ndarray:
+        return self._nodes["is_cat"]
+
+    @property
+    def threshold(self) -> np.ndarray:
+        return self._nodes["threshold"]
+
+    @property
     def left(self) -> np.ndarray:
-        return self._children[:, 0]
+        return self._nodes["left"]
 
     @property
     def right(self) -> np.ndarray:
-        return self._children[:, 1]
+        return self._nodes["right"]
+
+    @property
+    def leaf_prob(self) -> np.ndarray:
+        value = self._nodes["value"]
+        if value.dtype.kind == "f":
+            return value
+        prob = value / value.sum(axis=1, keepdims=True)
+        prob.flags.writeable = False
+        return prob
 
     def _measure_depth(self) -> int:
         feature = self.feature.tolist()
-        children = self._children.tolist()
+        left, right = self.left.tolist(), self.right.tolist()
         depth = 0
         frontier = [(0, 0)]
         while frontier:
             node, d = frontier.pop()
             depth = max(depth, d)
             if feature[node] >= 0:
-                left, right = children[node]
-                frontier += ((left, d + 1), (right, d + 1))
+                frontier += ((left[node], d + 1), (right[node], d + 1))
         return depth
 
     def apply(self, X: np.ndarray) -> np.ndarray:
@@ -99,14 +153,20 @@ class Tree:
         n, m = X.shape
         flat = X.ravel()
         row_start = np.arange(0, n * m, m)
-        # Index with intp copies, so no step converts its indices.
+        # Contiguous intp copies of the fields, made once per call; the
+        # children interleave, node i's at flat positions 2 * i and 2 * i + 1,
+        # so each step is a single gather.
         gather = np.maximum(self.feature, 0).astype(np.intp)
-        children = self._children.ravel().astype(np.intp)
+        children = np.empty(2 * gather.size, dtype=np.intp)
+        children[0::2] = self.left
+        children[1::2] = self.right
+        threshold = np.ascontiguousarray(self.threshold)
+        is_cat = np.ascontiguousarray(self.is_cat)
         node = np.zeros(n, dtype=np.int64)
         for _ in range(self.depth):
             vals = flat.take(row_start + gather.take(node))
-            thr = self.threshold.take(node)
-            go_left = np.where(self.is_cat.take(node), vals == thr, vals <= thr)
+            thr = threshold.take(node)
+            go_left = np.where(is_cat.take(node), vals == thr, vals <= thr)
             node = children.take(2 * node + ~go_left)
         return node
 
@@ -135,65 +195,88 @@ class Tree:
         )
 
 
-def _gini_cost(left_counts, right_counts):
-    """Size-weighted Gini impurity of a split, vectorized over candidates."""
-    ln = left_counts.sum(axis=1)
-    rn = right_counts.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        gl = 1.0 - np.square(left_counts / np.maximum(ln, 1)[:, None]).sum(axis=1)
-        gr = 1.0 - np.square(right_counts / np.maximum(rn, 1)[:, None]).sum(axis=1)
+def _sum_classes(a):
+    """``a.sum(axis=0)``, added in the order a contiguous class-last row takes.
+
+    NumPy adds up fewer than 8 terms of a contiguous row one after another,
+    as a reduction over axis 0 does; from 8 on it adds the row pairwise.
+    """
+    if a.shape[0] < 8:
+        return a.sum(axis=0)
+    return np.moveaxis(a, 0, -1).copy().sum(axis=-1)
+
+
+def _gini_cost(left_counts, right_counts, ln, rn):
+    """Size-weighted Gini impurity of splits, vectorized over trailing axes.
+
+    Class counts run along axis 0; ``ln`` and ``rn`` are the row counts of
+    each side, which sum to the node size.
+    """
+    gl = 1.0 - _sum_classes(np.square(left_counts / np.maximum(ln, 1)))
+    gr = 1.0 - _sum_classes(np.square(right_counts / np.maximum(rn, 1)))
     return (ln * gl + rn * gr) / (ln + rn)
 
 
 class _TreeBuilder:
+    """Grows one tree on its bootstrap rows, depth first.
+
+    Every node draws ``mtry`` candidate columns and scores every split of all
+    of them at once: categorical candidates through one ``bincount`` over
+    (class, candidate, code) keys, continuous ones through one batched
+    stable argsort and a cumulative class count over the (candidate,
+    position) block. A column constant over the tree's rows can only score
+    ``inf``, so it is never scored. Ties go to the first candidate, then to
+    its first category or position.
+    """
+
     def __init__(self, X, y, schema, params, n_classes, rng):
-        self.X = X
+        self.XT = np.ascontiguousarray(X.T)
         self.y = y
-        self.schema = schema
         self.params = params
         self.n_classes = n_classes
         self.rng = rng
+        self.arity = schema.arity
+        self.is_categorical = schema.is_categorical
+        self.vocab_sizes = schema.vocab_sizes
         self.mtry = params.resolve_mtry(schema.arity)
+        self.varies = (X != X[:1]).any(axis=0)
+        self.classes = np.arange(n_classes)[:, None, None]
         self.feature = []
         self.is_cat = []
         self.threshold = []
         self.left = []
         self.right = []
-        self.leaf_prob = []
+        self.counts = []
 
     def build(self) -> Tree:
-        self._grow(np.arange(self.X.shape[0]), depth=0)
+        self._grow(np.arange(self.XT.shape[1]), depth=0)
         return Tree(
             self.feature, self.is_cat, self.threshold,
-            self.left, self.right, np.vstack(self.leaf_prob),
+            self.left, self.right, counts=np.vstack(self.counts),
         )
 
-    def _new_node(self):
-        i = len(self.feature)
+    def _grow(self, idx, depth) -> int:
+        node = len(self.feature)
         self.feature.append(-1)
         self.is_cat.append(False)
         self.threshold.append(0.0)
-        self.left.append(i)
-        self.right.append(i)
-        self.leaf_prob.append(np.zeros(self.n_classes))
-        return i
-
-    def _grow(self, idx, depth) -> int:
-        node = self._new_node()
-        counts = np.bincount(self.y[idx], minlength=self.n_classes)
-        self.leaf_prob[node] = counts / idx.size
+        self.left.append(node)
+        self.right.append(node)
+        y_node = self.y[idx]
+        counts = np.bincount(y_node, minlength=self.n_classes)
+        self.counts.append(counts)
         if (
             depth >= self.params.max_depth
             or idx.size < 2 * self.params.min_leaf
             or np.count_nonzero(counts) < 2
         ):
             return node
-        cand = np.sort(self.rng.choice(self.schema.arity, size=self.mtry, replace=False))
-        split = self._best_split(idx, cand)
+        cand = np.sort(self.rng.choice(self.arity, size=self.mtry, replace=False))
+        split = self._best_split(idx, y_node, counts, cand[self.varies[cand]])
         if split is None:
             return node
         f, thr, cat = split
-        v = self.X[idx, f]
+        v = self.XT[f].take(idx)
         mask = (v == thr) if cat else (v <= thr)
         self.feature[node] = f
         self.is_cat[node] = cat
@@ -202,47 +285,60 @@ class _TreeBuilder:
         self.right[node] = self._grow(idx[~mask], depth + 1)
         return node
 
-    def _best_split(self, idx, cand):
-        best_cost = np.inf
-        best = None
-        y_node = self.y[idx]
-        total = np.bincount(y_node, minlength=self.n_classes)
+    def _best_split(self, idx, y_node, total, cand):
+        """``(feature, threshold, is_cat)`` of the node's lowest-cost split, or None.
+
+        ``idx`` are the node's rows, ``y_node`` their labels, ``total`` their
+        class counts and ``cand`` the candidate columns in ascending order.
+        """
+        if cand.size == 0:
+            return None
+        n = idx.size
         min_leaf = self.params.min_leaf
-        for f in cand:
-            v = self.X[idx, f]
-            if self.schema.is_categorical[f]:
-                codes = v.astype(np.int64)
-                k = int(self.schema.vocab_sizes[f])
-                cnt = np.zeros((k, self.n_classes))
-                np.add.at(cnt, (codes, y_node), 1.0)
-                left_n = cnt.sum(axis=1)
-                right_n = idx.size - left_n
-                cost = _gini_cost(cnt, total[None, :] - cnt)
-                cost[(left_n < min_leaf) | (right_n < min_leaf)] = np.inf
-                c = int(np.argmin(cost))
-                if cost[c] < best_cost:
-                    best_cost = cost[c]
-                    best = (int(f), float(c), True)
-            else:
-                order = np.argsort(v, kind="stable")
-                sv = v[order]
-                sy = y_node[order]
-                cum = np.cumsum(np.eye(self.n_classes)[sy], axis=0)
-                lc = cum[:-1]
-                rc = cum[-1] - lc
-                ln = np.arange(1, idx.size)
-                cost = _gini_cost(lc, rc)
-                invalid = (
-                    (sv[:-1] >= sv[1:])
-                    | (ln < min_leaf)
-                    | (idx.size - ln < min_leaf)
-                )
-                cost[invalid] = np.inf
-                p = int(np.argmin(cost))
-                if cost[p] < best_cost:
-                    best_cost = cost[p]
-                    best = (int(f), (sv[p] + sv[p + 1]) / 2.0, False)
-        return best
+        total = total[:, None, None]
+        cat = self.is_categorical[cand]
+        blocks = []  # (candidate rows, costs by category or position)
+        if cat.any():
+            fc = cand[cat]
+            k = int(self.vocab_sizes[fc].max())
+            codes = self.XT.take(fc, axis=0).take(idx, axis=1).astype(np.intp)
+            keys = codes + k * (np.arange(fc.size)[:, None] + fc.size * y_node)
+            cnt = np.bincount(keys.ravel(), minlength=self.n_classes * fc.size * k)
+            cnt = cnt.reshape(self.n_classes, fc.size, k)
+            ln = cnt.sum(axis=0)
+            c_cost = _gini_cost(cnt, total - cnt, ln, n - ln)
+            c_cost[(ln < min_leaf) | (n - ln < min_leaf)] = np.inf
+            blocks.append((cat, c_cost))
+        if not cat.all():
+            # Position p puts p + 1 rows left; only [lo, hi) leave min_leaf
+            # rows on both sides.
+            lo, hi = min_leaf - 1, n - min_leaf
+            v = self.XT.take(cand[~cat], axis=0).take(idx, axis=1)
+            order = np.argsort(v, axis=1, kind="stable")
+            sv = np.sort(v, axis=1)
+            lc = (y_node.take(order) == self.classes).cumsum(axis=2)[:, :, lo:hi]
+            ln = np.arange(lo + 1, hi + 1)
+            v_cost = _gini_cost(lc, total - lc, ln, n - ln)
+            v_cost[sv[:, lo:hi] >= sv[:, lo + 1 : hi + 1]] = np.inf
+            blocks.append((~cat, v_cost))
+        if len(blocks) == 1:
+            cost = blocks[0][1]
+        else:
+            # One row per candidate in ``cand`` order, padded with inf, so
+            # the flat argmin takes the first candidate, then its first
+            # category or position.
+            cost = np.full((cand.size, max(b.shape[1] for _, b in blocks)), np.inf)
+            for rows, b in blocks:
+                cost[rows, : b.shape[1]] = b
+        best = int(cost.argmin())
+        i, p = divmod(best, cost.shape[1])
+        if cost[i, p] == np.inf:
+            return None
+        f = int(cand[i])
+        if cat[i]:
+            return f, float(p), True
+        row = sv[np.count_nonzero(~cat[:i])]
+        return f, (row[lo + p] + row[lo + p + 1]) / 2.0, False
 
 
 @dataclass
@@ -333,6 +429,12 @@ def train_forest(data: Dataset, params: ForestParams | None = None) -> RandomFor
         raise TrainingError("training data contains a single class")
     if data.schema.arity < 1:
         raise TrainingError("empty feature set")
+    # The split search counts categories by code, so a code outside its
+    # vocabulary would be counted against another feature.
+    cat = data.schema.is_categorical
+    codes = data.X[:, cat]
+    if np.any((codes != np.floor(codes)) | (codes < 0) | (codes >= data.schema.vocab_sizes[cat])):
+        raise InvalidInputError("categorical values must be codes within their vocabulary")
 
     order = _canonical_order(data.X, data.y)
     X = np.ascontiguousarray(data.X[order])

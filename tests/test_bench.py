@@ -1,5 +1,7 @@
 """Synthetic benchmark generators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,19 @@ def test_spec_validation():
     ):
         with pytest.raises(InvalidInputError):
             SynthSpec(**bad)
+
+
+@pytest.mark.parametrize("index", [1.5, 1.0, True, "1", None])
+def test_rule_feature_index_must_be_an_integer(index):
+    # a float or bool index would be truncated to a column when labelling
+    with pytest.raises(InvalidInputError, match="rule feature index must be an integer"):
+        SynthSpec(2, 0, 50, rule_features=(index,))
+
+
+def test_rule_feature_numpy_integer_accepted():
+    spec = SynthSpec(2, 0, 50, kinds=("cont", "cont"), rule_features=(np.int64(1),))
+    plain = dataclasses.replace(spec, rule_features=(1,))
+    assert np.array_equal(generate_synth(spec).y, generate_synth(plain).y)
 
 
 # -- epidemic-policy preset --------------------------------------------------

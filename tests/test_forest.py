@@ -1,5 +1,6 @@
 """Random-forest training, prediction, and serialization."""
 
+import hashlib
 import itertools
 import json
 import types
@@ -7,12 +8,12 @@ import types
 import numpy as np
 import pytest
 
-from cafa.bench import SynthSpec, generate_synth
+from cafa.bench import SynthSpec, covid_preset, generate_synth, lung_preset
 from cafa.errors import InvalidInputError, ModelFormatError, TrainingError
 from cafa.forest import ForestParams, RandomForest, Tree, accuracy, train_forest
 from cafa.schema import Dataset
 
-from .conftest import make_schema, stump
+from .conftest import make_schema, random_rows, stump
 
 
 def _stump_ref(x, feature, threshold, left, right, is_cat=False):
@@ -100,6 +101,15 @@ def test_training_errors():
         train_forest(mono)
 
 
+@pytest.mark.parametrize("code", [3.0, -1.0, 1.5, np.nan])
+def test_training_rejects_codes_outside_the_vocabulary(code):
+    data = generate_synth(SynthSpec(2, 0, 40, seed=1, kinds=("cont", 3)))
+    X = data.X.copy()
+    X[7, 1] = code
+    with pytest.raises(InvalidInputError, match="within their vocabulary"):
+        train_forest(Dataset.from_normalized(data.schema, X, data.y), ForestParams(n_trees=2))
+
+
 def test_determinism_and_seed_sensitivity():
     data = generate_synth(SynthSpec(2, 1, 120, seed=3))
     a = train_forest(data, ForestParams(n_trees=10, seed=5))
@@ -182,3 +192,124 @@ def test_params_validation():
             ForestParams(features_per_split=mtry)
     assert ForestParams().resolve_mtry(9) == 3
     assert ForestParams(features_per_split=99).resolve_mtry(4) == 4
+
+
+# -- bit identity of seeded forests -----------------------------------------
+
+
+def _synth():
+    return generate_synth(SynthSpec(4, 2, 400, seed=11))
+
+
+def _three_class():
+    d = _synth()
+    return Dataset.from_normalized(d.schema, d.X, np.where(d.X[:, 0] > 0.7, 2, d.y))
+
+
+def _constant_columns():
+    # Two columns constant over every bootstrap, as uncontrollable features
+    # are in a surrogate's neighborhood.
+    d = _synth()
+    X = d.X.copy()
+    X[:, 0] = 0.5
+    X[:, 1] = 2.0
+    return Dataset.from_normalized(d.schema, X, d.y)
+
+
+# sha256 of json.dumps(forest.to_dict(), sort_keys=True), computed with the
+# per-candidate split search that the vectorized one replaced.
+PINNED_FORESTS = {
+    "covid": (lambda _: covid_preset(seed=0), ForestParams(n_trees=3, seed=1),
+              "673b05d7c5ba11249b28fce384454808dd076d9dbdccad71396e0d9436d6b397"),
+    "lung": (lambda _: lung_preset(seed=0), ForestParams(n_trees=4, seed=2),
+             "594cf44a1ef0446cbc5ffbac8ee28a9c354d8e3c3d8f1c384b65e3c43b6857f7"),
+    "breast": (lambda breast: breast, ForestParams(n_trees=4, seed=3),
+               "e0651e4cf4af163c332d54ddc98bac00aca1234fbae4e4dc4efbc9c6a7822c77"),
+    "three_class": (lambda _: _three_class(), ForestParams(n_trees=5, seed=4),
+                    "02d3531c2a7ebac58e43c20a5157c6d34b4040d923d76ce50ddfcc287e2463ff"),
+    "deep": (lambda _: _synth(), ForestParams(n_trees=3, min_leaf=1, max_depth=12, seed=5),
+             "117f57aa9784306ef3857d202d4f8b7c6efd8c6d8bce13f272163c78d73381d9"),
+    "all_features": (lambda _: _synth(), ForestParams(n_trees=4, features_per_split=6, seed=6),
+                     "2a1c3294d97640f64542ea6c3ee4612cda892791e68af794f3cede09c21077c5"),
+    "constant_columns": (lambda _: _constant_columns(), ForestParams(n_trees=5, seed=7),
+                         "a9535eea66dc2f34e82f5302d8046e197966cbd9bf7ec4629180cfa6fe1f8b06"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_FORESTS))
+def test_seeded_forest_is_bit_identical(case, breast_data):
+    make, params, want = PINNED_FORESTS[case]
+    model = train_forest(make(breast_data), params)
+    doc = json.dumps(model.to_dict(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == want
+
+
+# -- packed node records -----------------------------------------------------
+
+
+def test_wide_feature_index_takes_int32_records():
+    wide = 2**15  # one past the int16 range
+    tree = Tree(
+        feature=[wide, -1, 1, -1, -1],
+        is_cat=[False, False, True, False, False],
+        threshold=[0.5, 0.0, 2.0, 0.0, 0.0],
+        left=[1, 1, 3, 3, 4],
+        right=[2, 1, 4, 3, 4],
+        leaf_prob=[[0, 0, 0], [1.0, 0, 0], [0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]],
+    )
+    assert tree.feature.dtype == tree.left.dtype == np.int32
+    assert tree.depth == 2
+    schema = make_schema(["cont", 3] + ["cont"] * (wide - 1))
+    X = random_rows(make_schema(["cont", 3]), np.random.default_rng(0), 12)
+    X = np.hstack([X, np.zeros((12, wide - 1))])
+    X[:, wide] = np.linspace(0.0, 1.0, 12)
+    want = [1 if x[wide] <= 0.5 else (3 if x[1] == 2.0 else 4) for x in X]
+    assert np.array_equal(tree.apply(X), want)
+    forest = RandomForest([tree], ForestParams(n_trees=1), schema, 3)
+    doc = json.loads(json.dumps(tree.to_dict()))
+    again = Tree.from_dict(doc)
+    assert again.to_dict() == tree.to_dict()
+    assert again.feature.dtype == np.int32
+    again_forest = RandomForest([again], ForestParams(n_trees=1), schema, 3)
+    assert np.array_equal(again_forest.predict_proba(X), forest.predict_proba(X))
+
+
+def test_small_tree_takes_int16_records():
+    tree = stump(3, 0.5, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    assert tree.feature.dtype == tree.left.dtype == tree.right.dtype == np.int16
+    assert tree.to_dict() == {
+        "feature": [3, -1, -1], "is_cat": [0, 0, 0], "threshold": [0.5, 0.0, 0.0],
+        "left": [1, 1, 2], "right": [2, 1, 2],
+        "leaf_prob": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    }
+
+
+def test_trained_trees_store_counts_and_reload_as_probabilities():
+    data = generate_synth(SynthSpec(3, 1, 150, seed=6))
+    model = train_forest(data, ForestParams(n_trees=4, seed=1))
+    for tree in model.trees:
+        # 150 bootstrap rows: counts fit in a byte, against 8 for a probability
+        assert tree._nodes.dtype["value"].base == np.uint8
+        prob = tree.leaf_prob
+        assert np.allclose(prob.sum(axis=1), 1.0, atol=1e-15)
+        again = Tree.from_dict(json.loads(json.dumps(tree.to_dict())))
+        assert again._nodes.dtype["value"].base == np.float64
+        assert again.to_dict() == tree.to_dict()
+        assert again.leaf_prob.tobytes() == prob.tobytes()
+        assert np.array_equal(again.apply(data.X), tree.apply(data.X))
+
+
+@pytest.mark.parametrize("trained", [False, True])
+def test_tree_fields_are_read_only(trained):
+    if trained:
+        data = generate_synth(SynthSpec(2, 1, 60, seed=3))
+        tree = train_forest(data, ForestParams(n_trees=1, seed=0)).trees[0]
+    else:
+        tree = stump(0, 0.5, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    for name in ("feature", "is_cat", "threshold", "left", "right", "leaf_prob"):
+        with pytest.raises(AttributeError):
+            setattr(tree, name, getattr(tree, name).copy())
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(tree, name)[0] = 1
+    with pytest.raises(AttributeError):
+        tree.extra = 1
