@@ -60,6 +60,8 @@ class SynthSpec:
             raise InvalidInputError("need at least one feature")
         if self.n_rows < 1:
             raise InvalidInputError("n_rows must be >= 1")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.noise < 0.5:
             raise InvalidInputError(f"noise must be in [0, 0.5), got {self.noise}")
         m = self.m_controllable + self.m_uncontrollable

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -122,11 +121,13 @@ def _resolve_instance(arg: str, data, model: RandomForest) -> np.ndarray:
         if not 0 <= idx < data.n_rows:
             raise UsageError(f"instance index {idx} out of range (0..{data.n_rows - 1})")
         return data.X[idx]
-    path = Path(arg)
-    if not path.exists():
-        raise UsageError(f"instance {arg!r} is neither a row index nor an existing file")
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(arg, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"instance {arg!r} is neither a row index nor a readable file: {exc}")
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+        raise InvalidInputError(f"instance file is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InvalidInputError("instance file must hold a feature-name -> value object")
     return encode_instance(model.schema, model.norm_params, raw)
@@ -319,6 +320,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except CafaError as exc:
         print(f"error: {exc}", file=sys.stderr)

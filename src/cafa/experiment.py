@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
-from .errors import IngestionError, UsageError
+from .errors import IngestionError, InvalidInputError, UsageError
 from .explain import derive_seed, global_explanation
 from .forest import ForestParams, accuracy, train_forest
 from .pipeline import CafaConfig, GlobalCafaResult, cafa_global, cafa_local, standard_shap
@@ -36,19 +36,21 @@ REQUIRED_KEYS = ("dataset", "model", "cafa", "sample", "out_dir")
 
 
 def _build(cls, section: str, fields, **defaults):
-    """``cls(**defaults, **fields)``; a non-object section or a bad key is a usage error."""
+    """``cls(**defaults, **fields)``; a non-object section, a bad key or a value
+    ``cls`` rejects is a usage error."""
     if not isinstance(fields, dict):
         raise UsageError(f"{section} config must be a JSON object, got {fields!r}")
     try:
         return cls(**{**defaults, **fields})
-    except TypeError as exc:
+    except (TypeError, InvalidInputError) as exc:
         raise UsageError(f"bad {section} config: {exc}") from None
 
 
 def _int(value, key: str) -> int:
-    """A JSON integer config value; anything else is a usage error."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"{key} config must be an integer, got {value!r}")
+    """A JSON integer config value, all of which are seeds, counts or indices;
+    anything but a non-negative integer is a usage error."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise UsageError(f"{key} config must be a non-negative integer, got {value!r}")
     return value
 
 

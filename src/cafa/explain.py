@@ -6,12 +6,10 @@ prediction over background rows with the coalition's columns overwritten by
 the query's values.
 
 A ``RandomForest`` is explained in closed form, leaf by leaf, by
-``shapley_forest``; ``shapley_exact`` and ``shapley_mc`` serve any other
-``predict_proba`` model. Models are assumed to score rows independently:
-``predict_proba`` gives each row the same output whatever else is in the
-batch. Batching model calls (``_prob1``) and scoring each distinct
-coalition row only once (``_coalition_means``) both rely on this, and
-neither changes a single bit of the result for such a model.
+``shapley_forest``; ``shapley_exact`` (up to ``EXACT_LIMIT`` features) and
+``shapley_mc`` serve any other ``predict_proba`` model. Both score the
+dense grid of coalition rows against every background row, chunked so one
+model call sees about ``_BATCH_ROWS`` rows.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ from .schema import Dataset, FeatureSchema
 
 # Cap on rows per model call so coalition matrices stay small.
 _BATCH_ROWS = 262_144
+EXACT_LIMIT = 15  # most features shapley_exact enumerates (2^15 coalitions)
 # Bytes per leaf chunk of the tree explainer's (leaves, rows, background)
 # temporaries; a larger budget raises peak memory without a speed gain.
 _TREE_CHUNK_BYTES = 256 * 1024
@@ -86,15 +85,8 @@ class Background:
 
 
 def _prob1(f, Z: np.ndarray) -> np.ndarray:
-    """Positive-class probability for each row, batched to bound memory."""
-    n = Z.shape[0]
-    if n <= _BATCH_ROWS:
-        return f.predict_proba(Z)[:, 1]
-    out = np.empty(n, dtype=np.float64)
-    for start in range(0, n, _BATCH_ROWS):
-        stop = min(start + _BATCH_ROWS, n)
-        out[start:stop] = f.predict_proba(Z[start:stop])[:, 1]
-    return out
+    """Positive-class probability for each row of ``Z``."""
+    return f.predict_proba(Z)[:, 1]
 
 
 def _coalition_means(f, x: np.ndarray, bg: Background, pinned: np.ndarray) -> np.ndarray:
@@ -102,63 +94,37 @@ def _coalition_means(f, x: np.ndarray, bg: Background, pinned: np.ndarray) -> np
 
     ``pinned`` is a ``(C, m)`` boolean matrix; coalition ``c`` takes the
     query's values on its pinned columns and background row ``b``'s values
-    elsewhere. Pinning a column whose background bits already equal the
-    query's changes nothing, so the row for ``(c, b)`` is fixed by ``b`` and
-    by ``pinned[c] & D[b]``, where ``D[b]`` marks the columns where row ``b``
-    differs from the query. Only one row per distinct such key is built and
-    scored; the predictions are scattered back to the ``(C, B)`` grid, so
-    every coalition mean sums the same floats in the same order as scoring
-    the full grid would.
+    elsewhere. All ``C * B`` rows are built and scored in one call.
     """
-    C, B = pinned.shape[0], bg.size
-    differs = bg.rows.view(np.int64) != x.view(np.int64)
-    keys = np.packbits(pinned, axis=1)[:, None, :] & np.packbits(differs, axis=1)[None, :, :]
-    keys = keys.reshape(C * B, -1)
-    cols = [keys[:, j] for j in range(keys.shape[1])]
-    cols.append(np.tile(np.arange(B), C))
-    # Group equal (key, b) cells: sort them, then mark where a key starts.
-    order = np.lexsort(cols)
-    starts = np.zeros(order.size, dtype=bool)
-    starts[0] = True
-    for col in cols:
-        s = col[order]
-        starts[1:] |= s[1:] != s[:-1]
-    group = np.empty(order.size, dtype=np.intp)
-    group[order] = np.cumsum(starts) - 1
-    first = order[starts]
-    rows = np.where(pinned[first // B], x, bg.rows[first % B])
-    return _prob1(f, rows)[group].reshape(C, B).mean(axis=1)
+    grid = np.where(pinned[:, None, :], x, bg.rows)
+    return _prob1(f, grid.reshape(-1, x.size)).reshape(pinned.shape[0], bg.size).mean(axis=1)
 
 
-def shapley_exact(f, x, bg: Background, exact_limit: int = 15) -> Attribution:
-    """Exact interventional Shapley values by coalition enumeration."""
+def shapley_exact(f, x, bg: Background) -> Attribution:
+    """Exact interventional Shapley values by coalition enumeration over at
+    most ``EXACT_LIMIT`` features."""
     x = np.asarray(x, dtype=np.float64)
     m = x.size
-    if m > exact_limit:
+    if m > EXACT_LIMIT:
         raise SizeLimitError(
             f"exact enumeration over {m} features needs 2^{m} coalitions; "
-            f"limit is {exact_limit} (use the sampling explainer instead)"
+            f"limit is {EXACT_LIMIT} (use shapley_mc instead)"
         )
     n_masks = 1 << m
     bits = ((np.arange(n_masks)[:, None] >> np.arange(m)) & 1).astype(bool)
 
-    v = np.empty(n_masks, dtype=np.float64)
-    masks_per_chunk = max(1, _BATCH_ROWS // bg.size)
-    for start in range(0, n_masks, masks_per_chunk):
-        stop = min(start + masks_per_chunk, n_masks)
-        v[start:stop] = _coalition_means(f, x, bg, bits[start:stop])
+    chunk = max(1, _BATCH_ROWS // bg.size)
+    v = np.concatenate([_coalition_means(f, x, bg, bits[start : start + chunk])
+                        for start in range(0, n_masks, chunk)])
 
     sizes = bits.sum(axis=1)
     fact = [math.factorial(i) for i in range(m + 1)]
-    weight = np.array(
-        [fact[s] * fact[m - 1 - s] / fact[m] for s in range(m)], dtype=np.float64
-    )
+    weight = np.array([fact[s] * fact[m - 1 - s] / fact[m] for s in range(m)])
     phi = np.empty(m, dtype=np.float64)
     all_masks = np.arange(n_masks)
     for j in range(m):
         without = all_masks[~bits[:, j]]
-        w = weight[sizes[without]]
-        phi[j] = np.dot(w, v[without | (1 << j)] - v[without])
+        phi[j] = np.dot(weight[sizes[without]], v[without | (1 << j)] - v[without])
     return Attribution(phi=phi, phi0=float(v[0]), method="exact-shap")
 
 
@@ -175,23 +141,19 @@ def shapley_mc(f, x, bg: Background, n_perms: int = 2000, seed: int = 0) -> Attr
         raise InvalidInputError("n_perms must be >= 1")
     rng = np.random.default_rng(seed)
     perms = rng.permuted(np.tile(np.arange(m), (n_perms, 1)), axis=1)
-    B = bg.size
 
     phi = np.zeros(m, dtype=np.float64)
-    phi0 = None
-    perms_per_chunk = max(1, _BATCH_ROWS // ((m + 1) * B))
+    perms_per_chunk = max(1, _BATCH_ROWS // ((m + 1) * bg.size))
     for start in range(0, n_perms, perms_per_chunk):
         chunk = perms[start : start + perms_per_chunk]
         # Step s of a chain pins the first s columns of its permutation,
         # the columns whose rank in it is below s.
-        rank = np.argsort(chunk, axis=1)
-        pinned = rank[:, None, :] < np.arange(m + 1)[None, :, None]
+        pinned = np.argsort(chunk, axis=1)[:, None, :] < np.arange(m + 1)[:, None]
         v = _coalition_means(f, x, bg, pinned.reshape(-1, m)).reshape(-1, m + 1)
-        if phi0 is None:
-            phi0 = float(v[0, 0])
         np.add.at(phi, chunk.ravel(), (v[:, 1:] - v[:, :-1]).ravel())
     phi /= n_perms
-    return Attribution(phi=phi, phi0=phi0, method="mc-shap", seed=seed)
+    # Every chain starts from the empty coalition, so any chunk's v[0, 0] is phi0.
+    return Attribution(phi=phi, phi0=float(v[0, 0]), method="mc-shap", seed=seed)
 
 
 def _forest_paths(forest):

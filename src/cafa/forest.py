@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,19 +36,15 @@ class ForestParams:
             raise InvalidInputError("forest params must be positive")
         if self.features_per_split is not None and self.features_per_split < 1:
             raise InvalidInputError("features_per_split must be >= 1 when given")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
     def resolve_mtry(self, m: int) -> int:
         k = self.features_per_split or math.ceil(math.sqrt(m))
         return max(1, min(k, m))
 
     def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "features_per_split": self.features_per_split,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @functools.lru_cache(maxsize=None)

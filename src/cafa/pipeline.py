@@ -27,6 +27,7 @@ from .errors import (
     TrainingError,
 )
 from .explain import (
+    EXACT_LIMIT,
     Attribution,
     Background,
     GlobalExplanation,
@@ -49,16 +50,15 @@ _TAG_SHAP_BG = 6
 _TAG_SHAP_MC = 7
 _TAG_GLOBAL = 10
 
+SHAP_PERMS = 2000  # standard_shap's permutations beyond EXACT_LIMIT features
+
 
 @dataclass(frozen=True)
 class CafaConfig:
     """Knobs for one local explanation run.
 
     ``n_perms`` has no effect: the surrogate is always a forest and is
-    explained exactly. It is still validated and recorded. ``exact_limit``
-    and ``shap_perms`` apply only to ``standard_shap`` of a model that is
-    not a ``RandomForest``: enumeration up to ``exact_limit`` features,
-    ``shap_perms`` sampled permutations beyond.
+    explained exactly. It is still validated and recorded.
     """
 
     k: int = 500
@@ -68,8 +68,6 @@ class CafaConfig:
     n_locals: int | None = None
     background_size: int = 100
     max_attempts: int = 200_000
-    exact_limit: int = 15
-    shap_perms: int = 2000
     seed: int = 0
 
     def __post_init__(self):
@@ -86,11 +84,11 @@ class CafaConfig:
             raise InvalidInputError("n_locals must be >= 1 when given")
         if self.background_size < 1:
             raise InvalidInputError("background_size must be >= 1")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["surrogate_params"] = self.surrogate_params.to_dict()
-        return d
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -198,8 +196,10 @@ def standard_shap(
     data: Dataset | None = None,
 ) -> Attribution:
     """Ordinary full-model Shapley attribution (no controllability masking)
-    against ``cfg.background_size`` rows drawn from ``data``; exact and
-    leaf-wise for a ``RandomForest``."""
+    against ``cfg.background_size`` rows drawn from ``data``. A
+    ``RandomForest`` is explained exactly, leaf by leaf; any other model is
+    enumerated up to ``EXACT_LIMIT`` features and sampled with
+    ``SHAP_PERMS`` permutations beyond."""
     cfg = cfg or CafaConfig()
     x = validate_instance(schema, x)
     if data is None:
@@ -210,10 +210,9 @@ def standard_shap(
     if isinstance(f, RandomForest):
         phi, phi0 = shapley_forest(f, x, bg)
         return Attribution(phi=phi[0], phi0=phi0, method="tree-shap")
-    m = len(schema.features)
-    if m <= cfg.exact_limit:
-        return shapley_exact(f, x, bg, exact_limit=cfg.exact_limit)
-    return shapley_mc(f, x, bg, n_perms=cfg.shap_perms, seed=derive_seed(cfg.seed, _TAG_SHAP_MC))
+    if len(schema.features) <= EXACT_LIMIT:
+        return shapley_exact(f, x, bg)
+    return shapley_mc(f, x, bg, n_perms=SHAP_PERMS, seed=derive_seed(cfg.seed, _TAG_SHAP_MC))
 
 
 def pearson(a, b) -> float:

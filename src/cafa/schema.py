@@ -469,8 +469,11 @@ def encode_instance(schema: FeatureSchema, norm_params, raw: dict) -> np.ndarray
                 )
             x[i] = f.kind.vocabulary.index(key)
         else:
-            lo, hi = norm_params[i]
-            x[i] = normalize(float(v), lo, hi)
+            try:
+                value = float(v)
+            except (TypeError, ValueError):
+                raise InvalidInputError(f"feature {f.name!r}: expected a number, got {v!r}")
+            x[i] = normalize(value, *norm_params[i])
     return x
 
 

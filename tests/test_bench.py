@@ -91,6 +91,7 @@ def test_spec_validation():
         dict(ok, rule_features=()),
         dict(ok, rule_features=(3,)),
         dict(ok, rule_features=(0,), rule_weights=(1.0, 2.0)),
+        dict(ok, seed=-1),
     ):
         with pytest.raises(InvalidInputError):
             SynthSpec(**bad)

@@ -2,14 +2,18 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cafa.bench import SynthSpec, generate_synth
 from cafa.cli import main
-from cafa.forest import RandomForest
+from cafa.experiment import _build, _cafa_config
+from cafa.forest import ForestParams, RandomForest
 from cafa.schema import dataset_to_raw_csv, ingestion_spec_for
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 FAST = [
     "--k", "25", "--pi", "0.5", "--n-perms", "4", "--background", "30",
@@ -268,12 +272,23 @@ def test_experiment_flow(tmp_path):
         ("dataset.rule_features", lambda d: d["dataset"].update(rule_features=[1.5])),
         ("dataset.rule_weights", lambda d: d["dataset"].update(rule_weights={"a": 1})),
         ("dataset.rule_weights", lambda d: d["dataset"].update(rule_weights=["a", "b"])),
+        ("seed", lambda d: d.update(seed=-1)),
+        ("dataset.seed", lambda d: d.update(dataset={"kind": "covid_preset", "seed": -2})),
+        ("dataset.seed", lambda d: d["dataset"].update(seed=-1)),
+        ("cafa", lambda d: d["cafa"].update(exact_limit=15)),
+        ("cafa", lambda d: d["cafa"].update(shap_perms=200)),
+        ("model", lambda d: d["model"].update(seed=-1)),
+        ("cafa", lambda d: d["cafa"].update(seed=-1)),
+        ("cafa.surrogate_params", lambda d: d["cafa"]["surrogate_params"].update(seed=-1)),
     ],
     ids=["dataset-key", "model-key", "model-not-object", "surrogate-key", "dataset-not-object",
          "csv-no-path-spec", "dataset-seed", "instance", "sample", "seed", "csv-spec-not-str",
          "csv-path-not-str", "synth-seed", "synth-n-rows", "removed-cafa-key", "synth-kinds-int",
          "synth-kinds-str", "synth-rule-features-int", "synth-rule-features-float",
-         "synth-rule-weights-object", "synth-rule-weights-str"],
+         "synth-rule-weights-object", "synth-rule-weights-str", "negative-seed",
+         "negative-preset-seed", "negative-synth-seed", "removed-exact-limit",
+         "removed-shap-perms", "negative-model-seed", "negative-cafa-seed",
+         "negative-surrogate-seed"],
 )
 def test_experiment_bad_section_exit_2(tmp_path, capsys, section, edit):
     doc = _experiment_config(tmp_path / "out")
@@ -282,6 +297,15 @@ def test_experiment_bad_section_exit_2(tmp_path, capsys, section, edit):
     cfg.write_text(json.dumps(doc))
     assert main(["experiment", str(cfg)]) == 2
     assert f"{section} config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_config_sections_build(path):
+    # parse the model and cafa sections as run_experiment does, without training
+    doc = json.loads(path.read_text())
+    seed = doc.get("seed", 0)
+    assert _build(ForestParams, "model", doc["model"], seed=seed).seed == seed
+    assert _cafa_config(doc["cafa"], seed).seed == seed
 
 
 def test_experiment_empty_config(tmp_path, capsys):
@@ -324,6 +348,22 @@ def test_usage_errors_exit_2(ws, tmp_path):
     assert main(["explain", "--data", ws["data"], "--spec", ws["spec"],
                  "--model", ws["model"], "--out-dir", out, "--instance", "0",
                  "--pi", "bogus"]) == 2
+    assert _explain(ws, tmp_path / "x", "--instance", str(tmp_path)) == 2  # a directory
+
+
+def test_negative_seed_exit_2(ws, tmp_path, capsys):
+    data = ["--data", ws["data"], "--spec", ws["spec"]]
+    run = ["--model", ws["model"], "--out-dir", str(tmp_path / "o"), *FAST]
+    for argv in (
+        ["train", *data, "--out", str(tmp_path / "m.json")],
+        ["explain", *data, *run, "--instance", "0"],
+        ["global", *data, *run, "--sample", "2"],
+        ["compare", *data, *run, "--instance", "0"],
+        ["synth", "--out", str(tmp_path / "s.csv")],
+        ["synth", "--kind", "covid", "--out", str(tmp_path / "c.csv")],
+    ):
+        assert main([*argv, "--seed", "-1"]) == 2, argv[0]
+        assert "--seed must be >= 0" in capsys.readouterr().err
 
 
 def test_data_errors_exit_3(ws, tmp_path):
@@ -339,6 +379,23 @@ def test_data_errors_exit_3(ws, tmp_path):
         bad_spec.write_text(json.dumps({"label": "class", "features": feats}))
         assert main(["train", "--data", ws["data"], "--spec", str(bad_spec),
                      "--out", str(tmp_path / "m.json")]) == 3, feats
+
+
+def test_bad_instance_file_exit_3(ws, tmp_path, capsys):
+    with open(ws["data"], newline="") as fh:
+        raw = {k: v for k, v in next(csv.DictReader(fh)).items() if k != "class"}
+    schema = RandomForest.load(ws["model"]).schema
+    name = next(f.name for f in schema.features if not f.is_categorical)
+    inst = tmp_path / "instance.json"
+    inst.write_text("{not json")
+    assert _explain(ws, tmp_path / "o", "--instance", str(inst)) == 3
+    assert "not valid JSON" in capsys.readouterr().err
+    for value in ("abc", [1]):
+        inst.write_text(json.dumps({**raw, name: value}))
+        for cmd in ("explain", "compare"):
+            assert main([cmd, "--data", ws["data"], "--spec", ws["spec"], "--model", ws["model"],
+                         "--out-dir", str(tmp_path / "o"), "--instance", str(inst)]) == 3
+            assert f"feature {name!r}" in capsys.readouterr().err
 
 
 def test_model_errors_exit_4(ws, tmp_path):

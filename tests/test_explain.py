@@ -131,11 +131,8 @@ def test_exact_symmetry():
 def test_exact_size_limit():
     f = ProbModel(lambda X: X[:, 0])
     bg = Background(np.zeros((1, 16)))
-    with pytest.raises(SizeLimitError, match="sampling"):
+    with pytest.raises(SizeLimitError, match="shapley_mc"):
         shapley_exact(f, np.zeros(16), bg)
-    # a tighter limit binds earlier
-    with pytest.raises(SizeLimitError):
-        shapley_exact(f, np.zeros(6), Background(np.zeros((1, 6))), exact_limit=5)
 
 
 def test_constant_feature_zero():
@@ -214,7 +211,7 @@ def test_mc_validation():
                    n_perms=0)
 
 
-# --- distinct coalition rows ----------------------------------------------
+# --- dense references ------------------------------------------------------
 
 def dense_exact(f, x, bg):
     """Exact Shapley scoring the full (2^m, B) coalition grid; the reference."""
@@ -305,46 +302,6 @@ def test_signed_zero_counts_as_a_different_value():
     got = shapley_mc(f, x, bg, n_perms=5, seed=2)
     want_phi, want_phi0 = dense_mc(f, x, bg, 5, seed=2)
     assert np.array_equal(got.phi, want_phi) and got.phi0 == want_phi0
-
-
-class CountingModel:
-    """Records every row it scores."""
-
-    def __init__(self, model):
-        self.model = model
-        self.seen = []
-
-    def predict_proba(self, X):
-        self.seen.append(np.array(X, copy=True))
-        return self.model.predict_proba(X)
-
-
-def _assert_scored_once(counter, x, bg, pinned):
-    """The scored rows are exactly one row per distinct (b, S & D_b) key."""
-    differs = bg.rows != x
-    keys = {(b, (pinned[c] & differs[b]).tobytes())
-            for c in range(pinned.shape[0]) for b in range(bg.size)}
-    want = np.array([np.where(np.frombuffer(k, dtype=bool), x, bg.rows[b]) for b, k in keys])
-    seen = np.concatenate(counter.seen)
-    assert seen.shape[0] == len(keys) <= pinned.shape[0] * bg.size
-    sort = lambda a: a[np.lexsort(a.T[::-1])]
-    assert np.array_equal(sort(seen), sort(want))
-
-
-@pytest.mark.parametrize("m, n_bg", [(3, 7), (9, 12), (9, 1)])
-def test_each_distinct_coalition_row_scored_once(m, n_bg):
-    model, x, bg = _mixed_case(m, n_bg, seed=m + n_bg)
-    counter = CountingModel(model)
-    shapley_exact(counter, x, bg)
-    bits = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(bool)
-    _assert_scored_once(counter, x, bg, bits)
-
-    counter = CountingModel(model)
-    shapley_mc(counter, x, bg, n_perms=20, seed=4)
-    perms = _mc_perms(m, 20, seed=4)
-    rank = np.argsort(perms, axis=1)
-    pinned = (rank[:, None, :] < np.arange(m + 1)[None, :, None]).reshape(-1, m)
-    _assert_scored_once(counter, x, bg, pinned)
 
 
 # --- exact tree path --------------------------------------------------------

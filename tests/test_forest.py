@@ -190,6 +190,8 @@ def test_params_validation():
     for mtry in (0, -3):
         with pytest.raises(InvalidInputError):
             ForestParams(features_per_split=mtry)
+    with pytest.raises(InvalidInputError, match="seed"):
+        ForestParams(seed=-1)
     assert ForestParams().resolve_mtry(9) == 3
     assert ForestParams(features_per_split=99).resolve_mtry(4) == 4
 

@@ -227,18 +227,22 @@ def test_compare_with_shap_smoke(synth_task):
 def test_standard_shap_paths(synth_task):
     data, model = synth_task
     x = data.X[0]
-    # a forest goes down the tree path whatever exact_limit says
-    for cfg in (CafaConfig(seed=1), CafaConfig(seed=1, exact_limit=3, shap_perms=40)):
-        tree = standard_shap(x, model, data.schema, cfg, data=data)
-        assert tree.method == "tree-shap"
-    # any other predict_proba model is enumerated or sampled
+    tree = standard_shap(x, model, data.schema, CafaConfig(seed=1), data=data)
+    assert tree.method == "tree-shap"
+    # any other predict_proba model is enumerated up to 15 features...
     f = ProbModel(lambda X: 0.3 * X[:, 0] + 0.2 * X[:, 2] * X[:, 3] + 0.1 * X[:, 5])
     exact = standard_shap(x, f, data.schema, CafaConfig(seed=1), data=data)
     assert exact.method == "exact-shap"
-    mc = standard_shap(x, f, data.schema, CafaConfig(seed=1, exact_limit=3, shap_perms=40),
-                       data=data)
+    # ...and sampled beyond; every permutation of an additive model gives
+    # feature j the same marginal, a_j (x_j - mean background_j)
+    wide = generate_synth(SynthSpec(m_controllable=16, m_uncontrollable=0, n_rows=60, seed=2,
+                                    kinds=("cont",) * 16))
+    a = np.linspace(0.01, 0.05, 16)
+    cfg = CafaConfig(seed=1, background_size=20)
+    mc = standard_shap(wide.X[0], ProbModel(lambda X: X @ a), wide.schema, cfg, data=wide)
     assert mc.method == "mc-shap"
-    assert np.max(np.abs(mc.phi - exact.phi)) < 0.05
+    bg = Background.from_dataset(wide, 20, derive_seed(1, 6))
+    assert np.max(np.abs(mc.phi - a * (wide.X[0] - bg.rows.mean(axis=0)))) <= 1e-12
     # the tree path and enumeration agree on the forest
     want = shapley_exact(model, x, Background.from_dataset(data, 100, derive_seed(1, 6)))
     assert np.max(np.abs(tree.phi - want.phi)) <= 1e-12
@@ -274,13 +278,14 @@ def test_config_validation():
         dict(n_perms=0),
         dict(n_locals=0),
         dict(background_size=0),
+        dict(seed=-1),
     ):
         with pytest.raises(InvalidInputError):
             CafaConfig(**bad)
     d = CafaConfig(k=3).to_dict()
     assert d["k"] == 3 and d["surrogate_params"]["n_trees"] == 100
     assert set(d) == {"k", "pi", "surrogate_params", "n_perms", "n_locals", "background_size",
-                      "max_attempts", "exact_limit", "shap_perms", "seed"}
+                      "max_attempts", "seed"}
 
 
 def test_global_single_instance_equals_local(synth_task):
