@@ -2,12 +2,13 @@
 
 import json
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from cafa.bench import SynthSpec, generate_synth
+from cafa.bench import SynthSpec, covid_preset, generate_synth, train_test_split
 from cafa.errors import FitError, InvalidInputError, SizeLimitError
 from cafa.explain import (
     Attribution,
@@ -50,6 +51,16 @@ def _forest_on_m_features(m, seed):
     spec = SynthSpec(m_controllable=m, m_uncontrollable=0, n_rows=250, seed=seed)
     data = generate_synth(spec)
     return train_forest(data, ForestParams(n_trees=15, max_depth=5, seed=seed)), data
+
+
+def _peak_bytes(fn, *args):
+    fn(*args)  # leave one-time allocations out of the peak
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # --- coalition values -------------------------------------------------------
@@ -290,6 +301,16 @@ def test_exact_bit_equal_to_dense_reference(m, n_bg):
     assert got.phi0 == want_phi0
 
 
+def test_coalition_chunks_are_byte_bounded():
+    # a chunk's coalition grid holds about _BATCH_BYTES (8 MiB) at any
+    # feature count; a row cap let this 70-feature run peak at 147 MiB
+    rng = np.random.default_rng(0)
+    f = ProbModel(lambda X: 0.5 + 0.01 * X[:, :10].sum(axis=1))
+    x = rng.random(70)
+    bg = Background(rng.random((50, 70)))
+    assert _peak_bytes(shapley_mc, f, x, bg, 200) <= 16 * 2**20
+
+
 def test_signed_zero_counts_as_a_different_value():
     # 0.0 == -0.0, but a model may still tell them apart, so a background
     # holding -0.0 where the query holds 0.0 must still be overwritten
@@ -436,6 +457,120 @@ def test_tree_path_scores_no_coalition_row(monkeypatch):
     shapley_forest(forest, np.vstack([x, bg.rows[:3]]), bg)
     # only the background rows themselves are scored, once, for phi0
     assert len(seen) == 1 and np.array_equal(seen[0], bg.rows)
+
+
+def _exact_per_row(forest, X, bg):
+    """``shapley_exact`` of every row of ``X``, enumerated once per distinct row."""
+    distinct, inverse = np.unique(X, axis=0, return_inverse=True)
+    want = np.array([shapley_exact(forest, row, bg).phi for row in distinct])
+    return want[inverse.ravel()]
+
+
+def _assert_exact(forest, X, bg, pinned=()):
+    phi, phi0 = shapley_forest(forest, X, bg)
+    assert np.max(np.abs(phi - _exact_per_row(forest, X, bg))) <= 1e-12
+    assert abs(phi0 - forest.predict_proba(bg.rows)[:, 1].mean()) <= 1e-12
+    assert np.all(phi[:, pinned] == 0.0) and not np.any(np.signbit(phi[:, pinned]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tree_path_duplicate_rows(seed):
+    # many rows share a fail mask under every leaf, and many pairs share both
+    forest, x, bg = _tree_case(9, 12, seed=seed)
+    rng = np.random.default_rng(seed)
+    pool = np.vstack([x, bg.rows[:4]])  # columns 0, 3 and 6 agree across the pool
+    X = pool[rng.integers(0, pool.shape[0], size=40)]
+    dup_bg = Background(pool[rng.integers(0, pool.shape[0], size=25)])
+    _assert_exact(forest, X, dup_bg, pinned=[0, 3, 6])
+
+
+@pytest.mark.parametrize("n, n_bg", [(1, 1), (1, 12)])
+def test_tree_path_single_row_or_background(n, n_bg):
+    forest, x, bg = _tree_case(9, 12, seed=n + n_bg)
+    X = np.vstack([x, bg.rows[::-1]])[:n]
+    _assert_exact(forest, X, Background(bg.rows[:n_bg]), pinned=[0, 3, 6])
+
+
+def test_tree_path_no_rows():
+    forest, x, bg = _tree_case(9, 12, seed=1)
+    phi, phi0 = shapley_forest(forest, np.empty((0, 9)), bg)
+    assert phi.shape == (0, 9) and phi0 == shapley_forest(forest, x, bg)[1]
+
+
+def test_tree_path_row_values_do_not_depend_on_the_batch():
+    forest, x, bg = _tree_case(9, 12, seed=4)
+    X = np.vstack([x, bg.rows, bg.rows[:, ::-1] * 0.5])
+    phi, _ = shapley_forest(forest, X, bg)
+    rng = np.random.default_rng(4)
+    perm = rng.permutation(X.shape[0])
+    assert np.max(np.abs(shapley_forest(forest, X[perm], bg)[0] - phi[perm])) <= 1e-13
+    for i in (0, 5, X.shape[0] - 1):
+        alone, _ = shapley_forest(forest, X[i : i + 1], bg)
+        assert np.max(np.abs(alone[0] - phi[i])) <= 1e-13
+
+
+def test_tree_path_chunking_changes_nothing(monkeypatch):
+    # a one-byte budget puts one leaf in a chunk and one row mask in a
+    # batch of pairs
+    forest, x, bg = _tree_case(9, 12, seed=6)
+    X = np.vstack([x, bg.rows, np.where(np.arange(9) % 2, x, bg.rows[-1])])
+    phi, phi0 = shapley_forest(forest, X, bg)
+    monkeypatch.setattr("cafa.explain._TREE_CHUNK_BYTES", 1)
+    small, small0 = shapley_forest(forest, X, bg)
+    assert np.max(np.abs(small - phi)) <= 1e-13 and small0 == phi0
+    assert np.array_equal(small == 0.0, phi == 0.0) and not np.any(np.signbit(small[small == 0.0]))
+
+
+def _deep_forest():
+    data = generate_synth(SynthSpec(m_controllable=8, m_uncontrollable=0, n_rows=2000, seed=1))
+    return train_forest(data, ForestParams(n_trees=10, max_depth=14, min_leaf=1, seed=1)), data
+
+
+def test_tree_path_depth_14_forest():
+    forest, data = _deep_forest()
+    assert max(t.depth for t in forest.trees) == 14
+    X, rows = data.X[:4].copy(), data.X[100:120].copy()
+    X[:, 2] = rows[:, 2] = X[0, 2]
+    _assert_exact(forest, X, Background(rows), pinned=[2])
+
+
+def test_tree_path_slots_beyond_64():
+    # masks span two 64-bit words: a chain of 64 tests every row passes,
+    # then one test on each other feature, first tested past depth 64
+    forest, x, bg = _tree_case(9, 12, seed=8)
+    schema = forest.schema
+    cont = int(np.flatnonzero(~schema.is_categorical)[0])
+    feats = [cont] * 64 + [j for j in range(9) if j != cont]
+    d = len(feats)
+    # node k < d tests feats[k], goes on left to node k + 1 and has leaf
+    # d + k on its right; node 2d is the leaf at the end of the chain
+    thr = [2.0] * 64 + [float(x[j]) if schema.is_categorical[j] else 0.5 for j in feats[64:]]
+    chain = Tree(
+        feature=feats + [-1] * (d + 1),
+        is_cat=[bool(schema.is_categorical[j]) for j in feats] + [False] * (d + 1),
+        threshold=thr + [0.0] * (d + 1),
+        left=[*range(1, d + 1), *range(d, 2 * d + 1)],
+        right=[*range(d, 2 * d), *range(d, 2 * d + 1)],
+        leaf_prob=np.column_stack([1.0 - np.linspace(0.1, 0.9, 2 * d + 1),
+                                   np.linspace(0.1, 0.9, 2 * d + 1)]),
+    )
+    forest = RandomForest([*forest.trees, chain], forest.params, schema, 2)
+    assert max(t.depth for t in forest.trees) == d == 72
+    X = np.vstack([x, bg.rows[0], np.where(np.arange(9) % 2, x, bg.rows[-1])])
+    _assert_exact(forest, X, bg, pinned=[0, 3, 6])
+
+
+def test_tree_path_peak_memory():
+    # the per-leaf pass matrices, fail masks and mask pairs are chunked to
+    # about _TREE_CHUNK_BYTES each; the dense pair scorer this replaced
+    # peaked at 1.34 MiB on the covid-shaped input
+    bound = 1.35 * 2**20
+    data = covid_preset(seed=0)
+    _, nb = train_test_split(data, 200 / data.n_rows, seed=0)
+    surrogate = train_forest(nb, ForestParams(n_trees=100, max_depth=8, seed=0))
+    assert _peak_bytes(shapley_forest, surrogate, nb.X, Background.from_dataset(nb, 60)) <= bound
+    deep, data = _deep_forest()
+    assert _peak_bytes(shapley_forest, deep, data.X[:100], Background(data.X[100:150])) <= bound
 
 
 # --- LIME-style baseline ----------------------------------------------------

@@ -1,13 +1,21 @@
 """Selective perturbation and balanced neighborhood generation."""
 
+import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from cafa.distance import delta, delta_to_rows
+from cafa.bench import lung_preset
+from cafa.distance import delta, delta_to_rows, estimate_proximity
 from cafa.errors import InvalidInputError, NeighborhoodImbalanceError
+from cafa.forest import ForestParams, train_forest
 from cafa.sampler import generate_neighborhood, perturb_batch
 from cafa.schema import FeatureSchema
 
@@ -185,3 +193,39 @@ def test_random_configurations_satisfy_invariants():
         for i in range(data.n_rows):
             assert delta(data.X[i], x, schema) <= pi
             assert np.array_equal(data.X[i][unc], x[unc])
+
+
+def test_seeded_lung_neighborhood_is_bit_identical():
+    # sha256 of the rows and labels, computed while scipy was imported at
+    # module load; lung perturbs five continuous controllable features
+    data = lung_preset(seed=0)
+    model = train_forest(data, ForestParams(n_trees=4, seed=2))
+    nb = generate_neighborhood(data.X[7], model, data.schema,
+                               pi=estimate_proximity(data, seed=0), k=40, seed=11)
+    digest = hashlib.sha256(nb.data.X.tobytes() + nb.data.y.tobytes()).hexdigest()
+    assert digest == "f1706ab61f339f864ef515084fce372781c0a82c5b4228cf0ec76dd420d54789"
+
+
+_CATEGORICAL_NEIGHBORHOOD = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from cafa.sampler import generate_neighborhood
+    from tests.conftest import ProbModel, make_schema
+
+    schema = make_schema([3, 4, 2], controllable=[True, True, False])
+    f = ProbModel(lambda X: (X[:, 0] + X[:, 1] > 2).astype(float))
+    generate_neighborhood(np.array([1.0, 1.0, 0.0]), f, schema, pi=1.0, k=10, seed=0)
+    sys.exit("scipy was imported" if "scipy" in sys.modules else 0)
+""")
+
+
+def test_categorical_neighborhood_does_not_import_scipy():
+    # only a continuous controllable feature needs scipy's normal cdf
+    import cafa
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cafa.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, root]))
+    proc = subprocess.run([sys.executable, "-c", _CATEGORICAL_NEIGHBORHOOD],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
