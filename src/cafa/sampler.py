@@ -17,6 +17,7 @@ import numpy as np
 
 from .distance import delta_to_rows
 from .errors import InvalidInputError, NeighborhoodImbalanceError
+from .normal import ndtr, ndtri
 from .schema import Dataset, FeatureSchema, validate_instance
 
 # Standard deviation of the truncated Gaussian that perturbs a continuous feature.
@@ -43,10 +44,6 @@ def perturb_batch(x, schema: FeatureSchema, rng, n: int):
         if schema.is_categorical[j]:
             out[:, j] = rng.integers(0, schema.vocab_sizes[j], size=n)
         else:
-            # scipy is imported only here: loading it adds ~25 MiB of RSS,
-            # which an all-categorical run never needs.
-            from scipy.special import ndtr, ndtri
-
             mu = x[j]
             lo = ndtr((0.0 - mu) / SIGMA)
             hi = ndtr((1.0 - mu) / SIGMA)

@@ -97,8 +97,6 @@ class FeatureSchema:
         self.uncontrollable_idx = np.array(
             [i for i, f in enumerate(features) if not f.controllable], dtype=np.int64
         )
-        assert len(self.controllable_idx) + len(self.uncontrollable_idx) == len(features)
-        assert not set(self.controllable_idx) & set(self.uncontrollable_idx)
 
     @property
     def arity(self) -> int:
@@ -135,11 +133,19 @@ class FeatureSchema:
                 Feature(
                     name=entry["name"],
                     kind=kind,
-                    controllable=bool(entry["controllable"]),
+                    controllable=_controllable_flag(entry, entry["controllable"]),
                     weight=float(entry.get("weight", 1.0)),
                 )
             )
         return cls(feats)
+
+
+def _controllable_flag(entry: dict, value) -> bool:
+    """A feature's JSON ``controllable`` flag; a string or number is not one."""
+    if not isinstance(value, bool):
+        raise TypeError(f"feature {entry['name']!r}: 'controllable' must be true or "
+                        f"false, got {value!r}")
+    return value
 
 
 def validate_instance(schema: FeatureSchema, values) -> np.ndarray:
@@ -288,7 +294,7 @@ class IngestionSpec:
                 ColumnSpec(
                     name=entry["name"],
                     kind=entry["kind"],
-                    controllable=bool(entry.get("controllable", True)),
+                    controllable=_controllable_flag(entry, entry.get("controllable", True)),
                     weight=float(entry.get("weight", 1.0)),
                     vocabulary=tuple(entry["vocabulary"]) if "vocabulary" in entry else None,
                 )

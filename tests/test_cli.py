@@ -381,6 +381,22 @@ def test_data_errors_exit_3(ws, tmp_path):
                      "--out", str(tmp_path / "m.json")]) == 3, feats
 
 
+def test_string_controllable_flag_exits_3_and_4(ws, tmp_path, capsys):
+    spec = _json(Path(ws["spec"]))
+    spec["features"][0]["controllable"] = "false"
+    bad_spec = tmp_path / "spec.json"
+    bad_spec.write_text(json.dumps(spec))
+    assert main(["train", "--data", ws["data"], "--spec", str(bad_spec),
+                 "--out", str(tmp_path / "m.json")]) == 3
+    assert "'controllable' must be true or false" in capsys.readouterr().err
+    doc = _json(Path(ws["model"]))
+    doc["schema"]["features"][0]["controllable"] = "false"
+    bad_model = tmp_path / "model.json"
+    bad_model.write_text(json.dumps(doc))
+    assert _explain(ws, tmp_path / "o", "--instance", "0", "--model", str(bad_model)) == 4
+    assert "'controllable' must be true or false" in capsys.readouterr().err
+
+
 def test_bad_instance_file_exit_3(ws, tmp_path, capsys):
     with open(ws["data"], newline="") as fh:
         raw = {k: v for k, v in next(csv.DictReader(fh)).items() if k != "class"}

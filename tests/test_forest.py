@@ -175,6 +175,16 @@ def test_load_rejects_malformed_documents(tmp_path):
         RandomForest.load(tmp_path / "missing.json")
 
 
+@pytest.mark.parametrize("flag", ["false", 0, 1, None])
+def test_load_rejects_a_controllable_flag_that_is_not_boolean(flag):
+    data = generate_synth(SynthSpec(2, 1, 60, seed=7))
+    doc = json.loads(json.dumps(train_forest(data, ForestParams(n_trees=2, seed=0)).to_dict()))
+    assert [f["controllable"] for f in doc["schema"]["features"]] == [False, True, True]
+    doc["schema"]["features"][0]["controllable"] = flag
+    with pytest.raises(ModelFormatError, match="'controllable' must be true or false"):
+        RandomForest.from_dict(doc)
+
+
 def test_accuracy_matches_manual_mean():
     data = generate_synth(SynthSpec(2, 1, 90, seed=10))
     model = train_forest(data, ForestParams(n_trees=5, seed=0))

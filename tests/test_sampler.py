@@ -229,3 +229,31 @@ def test_categorical_neighborhood_does_not_import_scipy():
     proc = subprocess.run([sys.executable, "-c", _CATEGORICAL_NEIGHBORHOOD],
                           cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+_LUNG_EXPLANATION = textwrap.dedent("""
+    import sys
+    from cafa.bench import lung_preset
+    from cafa.forest import ForestParams, train_forest
+    from cafa.pipeline import CafaConfig, cafa_local
+
+    data = lung_preset(seed=0)
+    assert (~data.schema.is_categorical[data.schema.controllable_idx]).sum() == 5
+    model = train_forest(data, ForestParams(n_trees=4, seed=2))
+    cfg = CafaConfig(k=30, background_size=20, seed=1,
+                     surrogate_params=ForestParams(n_trees=5, max_depth=4))
+    cafa_local(data.X[7], model, data.schema, cfg, data=data)
+    sys.exit("scipy was imported" if "scipy" in sys.modules else 0)
+""")
+
+
+def test_continuous_explanation_does_not_import_scipy():
+    # the truncated Gaussian's normal cdf and quantile are cafa.normal's
+    import cafa
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cafa.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, root]))
+    proc = subprocess.run([sys.executable, "-c", _LUNG_EXPLANATION],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

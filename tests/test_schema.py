@@ -164,6 +164,22 @@ def test_ingestion_is_deterministic(breast_data, tmp_path):
     assert breast_data.schema == again.schema
 
 
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [False]])
+def test_ingestion_spec_controllable_must_be_a_json_boolean(flag):
+    # bool("false") is True: a string flag would make the feature controllable
+    doc = {"label": "class", "features": [{"name": "v", "kind": "cont", "controllable": flag}]}
+    with pytest.raises(IngestionError, match="'controllable' must be true or false"):
+        IngestionSpec.from_dict(doc)
+
+
+def test_ingestion_spec_controllable_flag():
+    feats = [{"name": "a", "kind": "cont", "controllable": False},
+             {"name": "b", "kind": "cont", "controllable": True},
+             {"name": "c", "kind": "cont"}]
+    spec = IngestionSpec.from_dict({"label": "class", "features": feats})
+    assert [c.controllable for c in spec.columns] == [False, True, True]
+
+
 def test_single_column_file_errors():
     # a labels-only spec never reaches the file: no feature columns
     with pytest.raises(IngestionError):
