@@ -30,6 +30,7 @@ from .schema import (
     encode_instance,
     ingestion_spec_for,
     load_csv,
+    read_json,
     validate_instance,
 )
 
@@ -121,13 +122,7 @@ def _resolve_instance(arg: str, data, model: RandomForest) -> np.ndarray:
         if not 0 <= idx < data.n_rows:
             raise UsageError(f"instance index {idx} out of range (0..{data.n_rows - 1})")
         return data.X[idx]
-    try:
-        with open(arg, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"instance {arg!r} is neither a row index nor a readable file: {exc}")
-    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
-        raise InvalidInputError(f"instance file is not valid JSON: {exc}") from None
+    raw = read_json(arg, "instance file", UsageError, InvalidInputError)
     if not isinstance(raw, dict):
         raise InvalidInputError("instance file must hold a feature-name -> value object")
     return encode_instance(model.schema, model.norm_params, raw)

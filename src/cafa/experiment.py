@@ -19,7 +19,6 @@ wall-clock time.
 from __future__ import annotations
 
 import dataclasses
-import json
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from .explain import derive_seed, global_explanation
 from .forest import ForestParams, accuracy, train_forest
 from .pipeline import CafaConfig, GlobalCafaResult, cafa_global, cafa_local, standard_shap
 from .reports import write_global_run, write_run, write_run_meta
-from .schema import IngestionSpec, load_csv
+from .schema import IngestionSpec, load_csv, read_json
 
 REQUIRED_KEYS = ("dataset", "model", "cafa", "sample", "out_dir")
 
@@ -124,13 +123,7 @@ def global_meta(command: str, sample_idx, cfg: CafaConfig, res: GlobalCafaResult
 
 def run_experiment(config_path, timestamp: bool = False) -> Path:
     """Execute one experiment config; returns the output directory."""
-    try:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise IngestionError(f"config is not valid JSON: {exc}") from None
+    doc = read_json(config_path, "config", UsageError, IngestionError)
     if not isinstance(doc, dict) or not doc:
         raise UsageError(f"empty experiment config; required keys: {', '.join(REQUIRED_KEYS)}")
     missing = [k for k in REQUIRED_KEYS if k not in doc]

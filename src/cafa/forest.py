@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ModelFormatError, TrainingError
-from .schema import Dataset, FeatureSchema
+from .schema import Dataset, FeatureSchema, read_json
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,10 @@ def _node_dtype(n_classes: int, index: type, value: type) -> np.dtype:
 
 def _narrowest(top: int, types) -> type:
     """The first of ``types`` whose range reaches ``top``."""
-    return next(t for t in types if top <= np.iinfo(t).max)
+    for t in types:
+        if top <= np.iinfo(t).max:
+            return t
+    raise ValueError(f"{top} is out of range")
 
 
 class Tree:
@@ -181,14 +184,25 @@ class Tree:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Tree":
-        return cls(
-            doc["feature"],
-            np.asarray(doc["is_cat"], dtype=bool),
-            doc["threshold"],
-            doc["left"],
-            doc["right"],
-            doc["leaf_prob"],
+        """Decode a tree whose nodes are numbered as the builder numbers them:
+        every node but the root is the child of exactly one node with a lower
+        index, and a leaf (``feature < 0``) points to itself."""
+        feature, left, right = (
+            np.asarray(doc[key], dtype=np.int64) for key in ("feature", "left", "right")
         )
+        leaf_prob = np.asarray(doc["leaf_prob"], dtype=np.float64)
+        if (feature.size == 0 or leaf_prob.ndim != 2
+                or not feature.shape == left.shape == right.shape == leaf_prob.shape[:1]):
+            raise ModelFormatError("a tree needs one feature, left, right and leaf_prob "
+                                   "row per node")
+        node = np.arange(feature.size)
+        leaf = feature < 0
+        child_ok = np.where(leaf, (left == node) & (right == node), (left > node) & (right > node))
+        children = np.sort(np.concatenate([left[~leaf], right[~leaf]]))
+        if not (child_ok.all() and np.array_equal(children, node[1:])):
+            raise ModelFormatError("tree nodes are not numbered depth first")
+        return cls(feature, np.asarray(doc["is_cat"], dtype=bool), doc["threshold"],
+                   left, right, leaf_prob)
 
 
 def _sum_classes(a):
@@ -377,20 +391,29 @@ class RandomForest:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RandomForest":
+        if not isinstance(doc, dict) or doc.get("format") != "cafa-forest":
+            raise ModelFormatError("not a forest model document")
         try:
-            if doc.get("format") != "cafa-forest":
-                raise ModelFormatError("not a forest model document")
             params = ForestParams(**doc["params"])
             schema = FeatureSchema.from_dict(doc["schema"])
+            n_classes = int(doc["n_classes"])
             trees = [Tree.from_dict(t) for t in doc["trees"]]
             norm_params = tuple(
                 tuple(p) if p else None for p in doc.get("norm_params") or []
             ) or None
             label_values = tuple(doc["label_values"]) if doc.get("label_values") else None
-            return cls(trees, params, schema, int(doc["n_classes"]),
-                       norm_params, label_values)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
             raise ModelFormatError(f"malformed model document: {exc}") from None
+        if n_classes < 2:
+            raise ModelFormatError(f"model needs n_classes >= 2, got {n_classes}")
+        if not trees:
+            raise ModelFormatError("model has no trees")
+        for tree in trees:
+            if tree.feature.min() < -1 or tree.feature.max() >= schema.arity:
+                raise ModelFormatError("tree splits on a feature outside the schema")
+            if tree.leaf_prob.shape[1] != n_classes:
+                raise ModelFormatError(f"tree leaf_prob rows must hold {n_classes} classes")
+        return cls(trees, params, schema, n_classes, norm_params, label_values)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -399,12 +422,7 @@ class RandomForest:
 
     @classmethod
     def load(cls, path) -> "RandomForest":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ModelFormatError(f"cannot read model file: {exc}") from None
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json(path, "model file", ModelFormatError, ModelFormatError))
 
 
 def _canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import IngestionError, InvalidInputError
+from .errors import CafaError, IngestionError, InvalidInputError
 
 MISSING_CELL = "?"
 
@@ -56,8 +58,7 @@ class Feature:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise InvalidInputError(f"feature {self.name!r}: weight must be >= 0")
+        object.__setattr__(self, "weight", _weight(self.name, self.weight))
 
     @property
     def is_categorical(self) -> bool:
@@ -106,46 +107,21 @@ class FeatureSchema:
         return isinstance(other, FeatureSchema) and self.features == other.features
 
     def to_dict(self) -> dict:
-        out = []
-        for f in self.features:
-            entry = {
-                "name": f.name,
-                "kind": "cat" if f.is_categorical else "cont",
-                "controllable": f.controllable,
-                "weight": f.weight,
-            }
-            if f.is_categorical:
-                entry["vocabulary"] = list(f.kind.vocabulary)
-            out.append(entry)
-        return {"features": out}
+        return {"features": [ColumnSpec.from_feature(f).to_dict() for f in self.features]}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FeatureSchema":
-        feats = []
-        for entry in doc["features"]:
-            if entry["kind"] == "cat":
-                kind = Categorical(tuple(entry["vocabulary"]))
-            elif entry["kind"] == "cont":
-                kind = Continuous()
-            else:
-                raise InvalidInputError(f"unknown feature kind {entry['kind']!r}")
-            feats.append(
-                Feature(
-                    name=entry["name"],
-                    kind=kind,
-                    controllable=_controllable_flag(entry, entry["controllable"]),
-                    weight=float(entry.get("weight", 1.0)),
-                )
-            )
-        return cls(feats)
+        return cls(ColumnSpec.from_dict(entry).to_feature() for entry in doc["features"])
 
 
-def _controllable_flag(entry: dict, value) -> bool:
-    """A feature's JSON ``controllable`` flag; a string or number is not one."""
-    if not isinstance(value, bool):
-        raise TypeError(f"feature {entry['name']!r}: 'controllable' must be true or "
-                        f"false, got {value!r}")
-    return value
+def _weight(name: str, value) -> float:
+    """A feature's weight: a finite number >= 0, where a bool or a string is not one."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < 0):
+        raise InvalidInputError(
+            f"feature {name!r}: weight must be a finite number >= 0, got {value!r}"
+        )
+    return float(value)
 
 
 def validate_instance(schema: FeatureSchema, values) -> np.ndarray:
@@ -258,6 +234,8 @@ def denormalize(value: float, lo: float, hi: float) -> float:
 
 @dataclass(frozen=True)
 class ColumnSpec:
+    """One feature entry of a spec or model file, and the codec for it."""
+
     name: str
     kind: str  # "cat" | "cont"
     controllable: bool
@@ -267,8 +245,61 @@ class ColumnSpec:
     def __post_init__(self):
         if self.kind not in ("cat", "cont"):
             raise InvalidInputError(f"column {self.name!r}: kind must be 'cat' or 'cont'")
+        object.__setattr__(self, "weight", _weight(self.name, self.weight))
         if self.vocabulary is not None:
             object.__setattr__(self, "vocabulary", tuple(str(v) for v in self.vocabulary))
+
+    @classmethod
+    def from_dict(cls, entry, controllable: bool | None = None) -> "ColumnSpec":
+        """Decode one JSON feature entry.
+
+        ``controllable`` is the flag of an entry that carries none; when it
+        is None, the entry must carry its own.
+        """
+        if not isinstance(entry, dict):
+            raise InvalidInputError(f"feature entry must be a JSON object, got {entry!r}")
+        if controllable is not None:
+            entry = {"controllable": controllable, **entry}
+        try:
+            name, kind, flag = entry["name"], entry["kind"], entry["controllable"]
+        except KeyError as exc:
+            raise InvalidInputError(f"feature entry is missing {exc}") from None
+        if not isinstance(flag, bool):
+            raise InvalidInputError(f"feature {name!r}: 'controllable' must be true or "
+                                    f"false, got {flag!r}")
+        return cls(name, kind, flag, entry.get("weight", 1.0), entry.get("vocabulary"))
+
+    def to_dict(self) -> dict:
+        entry = {
+            "name": self.name,
+            "kind": self.kind,
+            "controllable": self.controllable,
+            "weight": self.weight,
+        }
+        if self.vocabulary is not None:
+            entry["vocabulary"] = list(self.vocabulary)
+        return entry
+
+    @classmethod
+    def from_feature(cls, f: Feature) -> "ColumnSpec":
+        vocabulary = f.kind.vocabulary if f.is_categorical else None
+        return cls(f.name, "cat" if f.is_categorical else "cont", f.controllable, f.weight,
+                   vocabulary)
+
+    def to_feature(self, vocabulary=None) -> Feature:
+        """The schema feature this column declares. A categorical column takes
+        its closed vocabulary, else ``vocabulary``, the categories found in
+        the data."""
+        if self.vocabulary is not None:
+            vocabulary = self.vocabulary
+        if self.kind == "cont":
+            kind = Continuous()
+        elif vocabulary is None:
+            raise InvalidInputError(f"feature {self.name!r}: a categorical feature needs "
+                                    "a vocabulary")
+        else:
+            kind = Categorical(vocabulary)
+        return Feature(self.name, kind, self.controllable, self.weight)
 
 
 @dataclass(frozen=True)
@@ -290,45 +321,32 @@ class IngestionSpec:
         except (KeyError, TypeError) as exc:
             raise IngestionError(f"ingestion spec missing key: {exc}") from None
         try:
-            cols = tuple(
-                ColumnSpec(
-                    name=entry["name"],
-                    kind=entry["kind"],
-                    controllable=_controllable_flag(entry, entry.get("controllable", True)),
-                    weight=float(entry.get("weight", 1.0)),
-                    vocabulary=tuple(entry["vocabulary"]) if "vocabulary" in entry else None,
-                )
-                for entry in feats
-            )
-        except KeyError as exc:
-            raise IngestionError(f"ingestion spec feature missing key: {exc}") from None
-        except (TypeError, ValueError) as exc:
+            cols = tuple(ColumnSpec.from_dict(entry, controllable=True) for entry in feats)
+        except (TypeError, InvalidInputError) as exc:
             raise IngestionError(f"malformed ingestion spec feature: {exc}") from None
         return cls(label=label, columns=cols)
 
     @classmethod
     def from_json(cls, path) -> "IngestionSpec":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
-        except OSError as exc:
-            raise IngestionError(f"cannot read ingestion spec: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise IngestionError(f"ingestion spec is not valid JSON: {exc}") from None
+        return cls.from_dict(read_json(path, "ingestion spec", IngestionError, IngestionError))
 
     def to_dict(self) -> dict:
-        feats = []
-        for c in self.columns:
-            entry = {
-                "name": c.name,
-                "kind": c.kind,
-                "controllable": c.controllable,
-                "weight": c.weight,
-            }
-            if c.vocabulary is not None:
-                entry["vocabulary"] = list(c.vocabulary)
-            feats.append(entry)
-        return {"label": self.label, "features": feats}
+        return {"label": self.label, "features": [c.to_dict() for c in self.columns]}
+
+
+def read_json(path, what: str, unreadable: type[CafaError], malformed: type[CafaError]):
+    """The JSON document in the UTF-8 file ``path``, which holds ``what``.
+
+    A file that cannot be opened raises ``unreadable``; one that is not
+    UTF-8 or not JSON raises ``malformed``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise unreadable(f"cannot read {what}: {exc}") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise malformed(f"{what} is not valid JSON: {exc}") from None
 
 
 def _sort_values(values):
@@ -418,7 +436,7 @@ def load_csv(path, spec: IngestionSpec) -> Dataset:
                         f"for column {c.name!r}"
                     )
                 X[r, j] = code[v]
-            features.append(Feature(c.name, Categorical(vocab), c.controllable, c.weight))
+            features.append(c.to_feature(vocab))
             norm_params.append(None)
         else:
             parsed = np.full(n, np.nan)
@@ -442,7 +460,7 @@ def load_csv(path, spec: IngestionSpec) -> Dataset:
                     f"{path}: column {c.name!r}: constant continuous column"
                 )
             X[:, j] = (parsed - lo) / (hi - lo)
-            features.append(Feature(c.name, Continuous(), c.controllable, c.weight))
+            features.append(c.to_feature())
             norm_params.append((lo, hi))
 
     label_values = tuple(_sort_values(set(raw_labels)))
@@ -510,4 +528,4 @@ def dataset_to_raw_csv(data: Dataset, path) -> None:
 
 def ingestion_spec_for(data: Dataset) -> "IngestionSpec":
     """Ingestion spec (closed vocabularies, label ``class``) matching a dataset's schema."""
-    return IngestionSpec.from_dict({"label": "class", **data.schema.to_dict()})
+    return IngestionSpec("class", tuple(ColumnSpec.from_feature(f) for f in data.schema.features))

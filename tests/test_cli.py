@@ -423,6 +423,55 @@ def test_model_errors_exit_4(ws, tmp_path):
                     "--model", str(tmp_path / "absent.json")) == 4
 
 
+def _model_with(ws, tmp_path, edit) -> str:
+    """Path of a copy of the workspace model after ``edit`` changed its document."""
+    doc = _json(Path(ws["model"]))
+    edit(doc)
+    path = tmp_path / "edited_model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda d: d["schema"]["features"][0].update(kind="ordinal"), id="unknown-kind"),
+    pytest.param(lambda d: d["schema"]["features"][0].update(weight=-1.0), id="negative-weight"),
+    pytest.param(lambda d: d["schema"]["features"][1].update(name="u0"), id="duplicate-name"),
+    pytest.param(lambda d: d["params"].update(n_trees=0), id="zero-trees"),
+    pytest.param(lambda d: d["schema"]["features"][0].pop("controllable"), id="no-controllable"),
+    pytest.param(lambda d: d["schema"]["features"].__setitem__(0, 7), id="entry-not-object"),
+    pytest.param(lambda d: d["trees"][0]["left"].__setitem__(0, 10 ** 6), id="child-past-end"),
+])
+def test_bad_model_entry_exits_4(ws, tmp_path, edit):
+    model = _model_with(ws, tmp_path, edit)
+    assert _explain(ws, tmp_path / "o", "--instance", "0", "--model", model) == 4
+
+
+@pytest.mark.parametrize("weight", [True, "3", "nan", "inf", float("nan"), float("inf")], ids=repr)
+def test_bad_feature_weight_exits_3_in_a_spec_and_4_in_a_model(ws, tmp_path, capsys, weight):
+    spec = _json(Path(ws["spec"]))
+    spec["features"][0]["weight"] = weight
+    bad_spec = tmp_path / "spec.json"
+    bad_spec.write_text(json.dumps(spec))
+    assert main(["train", "--data", ws["data"], "--spec", str(bad_spec),
+                 "--out", str(tmp_path / "m.json")]) == 3
+    assert "weight must be a finite number" in capsys.readouterr().err
+    model = _model_with(ws, tmp_path, lambda d: d["schema"]["features"][0].update(weight=weight))
+    assert _explain(ws, tmp_path / "o", "--instance", "0", "--method", "shap",
+                    "--model", model) == 4
+    assert "weight must be a finite number" in capsys.readouterr().err
+
+
+def test_non_utf8_files_exit_with_their_document_code(ws, tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"label": "café"}'.encode("latin-1"))
+    assert main(["train", "--data", ws["data"], "--spec", str(latin1),
+                 "--out", str(tmp_path / "m.json")]) == 3
+    assert _explain(ws, tmp_path / "o", "--instance", "0", "--model", str(latin1)) == 4
+    assert main(["experiment", str(latin1)]) == 3
+    assert _explain(ws, tmp_path / "o", "--instance", str(latin1)) == 3
+    assert capsys.readouterr().err.count("not valid JSON") == 4
+
+
 def test_explanation_error_exit_5(tmp_path, capsys):
     # label depends only on the uncontrollable feature, so with it pinned the
     # model is constant and no balanced neighborhood exists

@@ -185,6 +185,58 @@ def test_load_rejects_a_controllable_flag_that_is_not_boolean(flag):
         RandomForest.from_dict(doc)
 
 
+_STUMP = {
+    "feature": [0, -1, -1], "is_cat": [0, 0, 0], "threshold": [0.5, 0.0, 0.0],
+    "left": [1, 1, 2], "right": [2, 1, 2], "leaf_prob": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+}
+# 0 -> (1, 2), 2 -> (3, 4); five nodes numbered depth first
+_FIVE = {
+    "feature": [0, -1, 1, -1, -1], "is_cat": [0] * 5, "threshold": [0.5] * 5,
+    "left": [1, 1, 3, 3, 4], "right": [2, 1, 4, 3, 4], "leaf_prob": [[0.5, 0.5]] * 5,
+}
+
+
+def _trained_doc() -> dict:
+    """JSON model document of a 2-tree forest over a 3-feature, 2-class schema."""
+    data = generate_synth(SynthSpec(2, 1, 60, seed=7))
+    return json.loads(json.dumps(train_forest(data, ForestParams(n_trees=2, seed=0)).to_dict()))
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param({"trees": [{**_STUMP, "left": [3, 1, 2]}]}, id="child-out-of-range"),
+    pytest.param({"trees": [{**_STUMP, "right": [2, 1, -1]}]}, id="leaf-child-out-of-range"),
+    pytest.param({"trees": [{**_FIVE, "left": [1, 1, 1, 3, 4]}]}, id="child-before-parent"),
+    pytest.param({"trees": [{**_STUMP, "right": [1, 1, 2]}]}, id="two-parents"),
+    pytest.param({"trees": [{**_STUMP, "left": [1, 2, 2]}]}, id="leaf-not-self"),
+    pytest.param({"trees": [{**_STUMP, "left": [1, 1], "right": [2, 1]}]}, id="short-arrays"),
+    pytest.param({"trees": [{**_STUMP, "feature": [3, -1, -1]}]}, id="feature-past-schema"),
+    pytest.param({"trees": [{**_STUMP, "feature": [0, -2, -1]}]}, id="feature-below-leaf"),
+    pytest.param({"trees": [{**_STUMP, "feature": [2 ** 40, -1, -1]}]}, id="feature-huge"),
+    pytest.param({"trees": [{**_STUMP, "leaf_prob": [[0.0, 0.0, 1.0]] * 3}]}, id="wide-rows"),
+    pytest.param({"trees": [{**_STUMP, "leaf_prob": [0.5, 0.5, 0.5]}]}, id="flat-leaf-prob"),
+    pytest.param({"n_classes": 1}, id="one-class"),
+    pytest.param({"trees": []}, id="no-trees"),
+])
+def test_load_rejects_a_tree_that_is_not_a_builder_tree(edit):
+    with pytest.raises(ModelFormatError):
+        RandomForest.from_dict({**_trained_doc(), **edit})
+
+
+def test_load_rejects_a_root_that_is_its_own_child():
+    # walking this tree never reaches a leaf, so it must fail before any walk
+    doc = {**_trained_doc(), "trees": [{**_STUMP, "left": [0, 1, 2]}]}
+    with pytest.raises(ModelFormatError, match="numbered depth first"):
+        RandomForest.from_dict(doc)
+
+
+def test_hand_built_trees_load():
+    schema = make_schema(["cont", "cont"])
+    for tree in (_STUMP, _FIVE):
+        doc = {"format": "cafa-forest", "params": ForestParams(n_trees=1).to_dict(),
+               "n_classes": 2, "schema": schema.to_dict(), "trees": [tree]}
+        assert RandomForest.from_dict(doc).trees[0].to_dict() == tree
+
+
 def test_accuracy_matches_manual_mean():
     data = generate_synth(SynthSpec(2, 1, 90, seed=10))
     model = train_forest(data, ForestParams(n_trees=5, seed=0))

@@ -59,6 +59,49 @@ def test_schema_partition_and_validation():
         FeatureSchema([Feature("x", Continuous(), True, weight=0.0)])
 
 
+BAD_WEIGHTS = [True, "3", "nan", "inf", float("nan"), float("inf"), None, [1.0]]
+
+
+@pytest.mark.parametrize("weight", BAD_WEIGHTS, ids=repr)
+def test_feature_weight_must_be_a_finite_number(weight):
+    with pytest.raises(InvalidInputError, match="weight must be a finite number"):
+        Feature("f", Continuous(), True, weight=weight)
+    entry = {"name": "f", "kind": "cont", "controllable": True, "weight": weight}
+    with pytest.raises(IngestionError, match="weight must be a finite number"):
+        IngestionSpec.from_dict({"label": "class", "features": [entry]})
+    with pytest.raises(InvalidInputError, match="weight must be a finite number"):
+        FeatureSchema.from_dict({"features": [entry]})
+
+
+def test_feature_entry_codec_round_trips():
+    schema = make_schema(["cont", 4], controllable=[False, True], weights=[2.5, 0.0])
+    cols = [ColumnSpec.from_feature(f) for f in schema.features]
+    assert [ColumnSpec.from_dict(c.to_dict()) for c in cols] == cols
+    assert tuple(c.to_feature() for c in cols) == schema.features
+    assert cols[1].to_dict() == {"name": "f1", "kind": "cat", "controllable": True,
+                                 "weight": 0.0, "vocabulary": ["0", "1", "2", "3"]}
+    # an open vocabulary takes the categories found in the data
+    assert ColumnSpec("g", "cat", True).to_feature(("lo", "hi")).kind == Categorical(("lo", "hi"))
+    with pytest.raises(InvalidInputError, match="needs a vocabulary"):
+        ColumnSpec("g", "cat", True).to_feature()
+
+
+def test_only_a_spec_defaults_the_controllable_flag():
+    entry = {"name": "v", "kind": "cont"}
+    spec = IngestionSpec.from_dict({"label": "class", "features": [entry]})
+    assert spec.columns[0].controllable is True
+    with pytest.raises(InvalidInputError, match="missing 'controllable'"):
+        FeatureSchema.from_dict({"features": [entry]})
+
+
+@pytest.mark.parametrize("entry", [7, "v", None, ["v", "cont"]], ids=repr)
+def test_a_feature_entry_must_be_an_object(entry):
+    with pytest.raises(IngestionError, match="must be a JSON object"):
+        IngestionSpec.from_dict({"label": "class", "features": [entry]})
+    with pytest.raises(InvalidInputError, match="must be a JSON object"):
+        FeatureSchema.from_dict({"features": [entry]})
+
+
 def test_schema_round_trips_through_dict():
     schema = make_schema(["cont", 4], controllable=[False, True], weights=[2.0, 1.0])
     assert FeatureSchema.from_dict(schema.to_dict()) == schema
