@@ -168,20 +168,20 @@ def shapley_mc(f, x, bg: Background, n_perms: int = 2000, seed: int = 0) -> Attr
 def _forest_paths(forest):
     """Root-to-leaf paths of the leaves with a positive class-1 value.
 
-    Returns the node arrays of all trees laid end to end (``feature``,
-    ``threshold``, ``is_cat``), ``path``, the ``(L, D)`` node indices of each
-    leaf's tests padded with -1 to the forest depth ``D``, ``went_left``,
-    whether the path takes each node's left branch, and ``v``, the leaf's
-    class-1 probability divided by the tree count. Leaves with ``v == 0``
-    add nothing to any Shapley value and are dropped.
+    Returns the forest's node fields (``feature``, ``threshold``,
+    ``is_cat``), ``path``, the ``(L, D)`` node indices of each leaf's tests
+    padded with -1 to the forest depth ``D``, ``went_left``, whether the
+    path takes each node's left branch, and ``v``, the leaf's class-1
+    probability divided by the tree count. Leaves with ``v == 0`` add
+    nothing to any Shapley value and are dropped.
     """
-    trees = forest.trees
-    starts = np.cumsum([0] + [t.feature.size for t in trees])
-    feature = np.concatenate([t.feature for t in trees])
-    left = np.concatenate([t.left + s for t, s in zip(trees, starts)])
-    right = np.concatenate([t.right + s for t, s in zip(trees, starts)])
-    value = np.concatenate([t.leaf_prob[:, 1] for t in trees]) / len(trees)
-    D = max(t.depth for t in trees)
+    nodes, starts = forest.nodes, forest.starts
+    offset = np.repeat(starts[:-1], np.diff(starts))
+    feature = nodes["feature"]
+    left = nodes["left"] + offset
+    right = nodes["right"] + offset
+    value = forest.leaf_prob[:, 1] / (starts.size - 1)
+    D = int(forest.depths.max())
 
     # Walk all trees one level at a time, extending every open path.
     node = starts[:-1]
@@ -201,10 +201,8 @@ def _forest_paths(forest):
         went_left = np.column_stack([
             np.tile(went_left[inner], (2, 1)), np.repeat([True, False], parent.size),
         ])
-    threshold = np.concatenate([t.threshold for t in trees])
-    is_cat = np.concatenate([t.is_cat for t in trees])
-    return (feature, threshold, is_cat, np.concatenate(paths), np.concatenate(lefts),
-            value[np.concatenate(leaves)])
+    return (feature, nodes["threshold"], nodes["is_cat"], np.concatenate(paths),
+            np.concatenate(lefts), value[np.concatenate(leaves)])
 
 
 def _distinct_masks(masks: np.ndarray):

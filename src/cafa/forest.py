@@ -47,6 +47,14 @@ class ForestParams:
         return asdict(self)
 
 
+# How far a loaded leaf's class probabilities may sum from 1.
+_PROB_TOL = 1e-6
+# Bytes of one predict chunk's (trees, rows) matrix of node indices. The
+# walk's other temporaries take about eight times as much: a 1,024-row call
+# on 100 trees peaked at 0.65 MiB, and larger budgets ran no faster.
+_WALK_BYTES = 64 * 1024
+
+
 @functools.lru_cache(maxsize=None)
 def _node_dtype(n_classes: int, index: type, value: type) -> np.dtype:
     """Record of one tree node: its split test, children and class values."""
@@ -56,12 +64,41 @@ def _node_dtype(n_classes: int, index: type, value: type) -> np.dtype:
     ])
 
 
+def _prob(value: np.ndarray) -> np.ndarray:
+    """Read-only class probabilities of ``value`` rows (classes last): the
+    rows themselves, or class counts divided by their row sums."""
+    if value.dtype.kind == "f":
+        return value
+    prob = value / value.sum(axis=-1, keepdims=True)
+    prob.flags.writeable = False
+    return prob
+
+
 def _narrowest(top: int, types) -> type:
     """The first of ``types`` whose range reaches ``top``."""
     for t in types:
         if top <= np.iinfo(t).max:
             return t
     raise ValueError(f"{top} is out of range")
+
+
+def _records(feature, is_cat, threshold, left, right, value, top: int) -> np.ndarray:
+    """The nodes as one read-only record array.
+
+    ``value`` holds class probabilities (floats) or class counts, which
+    take the narrowest unsigned type that holds them. Indices are int16
+    when ``top``, the largest node or feature index, fits, else int32.
+    """
+    value_type = np.float64
+    if value.dtype.kind != "f":
+        value_type = _narrowest(value.max(), (np.uint8, np.uint16, np.uint32, np.uint64))
+    index = _narrowest(top, (np.int16, np.int32))
+    nodes = np.empty(len(feature), dtype=_node_dtype(value.shape[1], index, value_type))
+    for name, field in (("feature", feature), ("left", left), ("right", right),
+                        ("is_cat", is_cat), ("threshold", threshold), ("value", value)):
+        nodes[name] = field
+    nodes.flags.writeable = False
+    return nodes
 
 
 class Tree:
@@ -79,32 +116,27 @@ class Tree:
     byte per class up to 255 rows, against eight for a probability), and
     ``leaf_prob`` divides them by the node's row count on access, which
     gives the probabilities bit for bit.
+
+    A ``RandomForest`` keeps no ``Tree``: it packs its trees' records into
+    one table, and its ``trees`` are views of that table.
     """
 
-    # Every result keeps its surrogate's trees alive, so a tree holds one
-    # array and no per-instance dict; the fields are views made on access.
     __slots__ = ("_nodes", "depth")
 
     def __init__(self, feature, is_cat, threshold, left, right, leaf_prob=None, counts=None):
         feature, left, right = (np.asarray(a, dtype=np.int64) for a in (feature, left, right))
-        if counts is None:
-            value = np.asarray(leaf_prob, dtype=np.float64)
-            value_type = np.float64
-        else:
-            value = np.asarray(counts)
-            value_type = _narrowest(value.max(), (np.uint8, np.uint16, np.uint32, np.uint64))
+        value = np.asarray(leaf_prob, dtype=np.float64) if counts is None else np.asarray(counts)
         top = max(feature.size - 1, feature.max(), left.max(), right.max())
-        index = _narrowest(top, (np.int16, np.int32))
-        nodes = np.empty(feature.size, dtype=_node_dtype(value.shape[1], index, value_type))
-        nodes["feature"] = feature
-        nodes["left"] = left
-        nodes["right"] = right
-        nodes["is_cat"] = is_cat
-        nodes["threshold"] = threshold
-        nodes["value"] = value
-        nodes.flags.writeable = False
-        self._nodes = nodes
+        self._nodes = _records(feature, is_cat, threshold, left, right, value, top)
         self.depth = self._measure_depth()
+
+    @classmethod
+    def _view(cls, nodes: np.ndarray, depth: int) -> "Tree":
+        """A tree over records that are already packed, and its known depth."""
+        tree = object.__new__(cls)
+        tree._nodes = nodes
+        tree.depth = depth
+        return tree
 
     @property
     def feature(self) -> np.ndarray:
@@ -128,12 +160,7 @@ class Tree:
 
     @property
     def leaf_prob(self) -> np.ndarray:
-        value = self._nodes["value"]
-        if value.dtype.kind == "f":
-            return value
-        prob = value / value.sum(axis=1, keepdims=True)
-        prob.flags.writeable = False
-        return prob
+        return _prob(self._nodes["value"])
 
     def _measure_depth(self) -> int:
         feature = self.feature.tolist()
@@ -146,31 +173,6 @@ class Tree:
             if feature[node] >= 0:
                 frontier += ((left[node], d + 1), (right[node], d + 1))
         return depth
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index reached by every row of ``X``."""
-        n, m = X.shape
-        flat = X.ravel()
-        row_start = np.arange(0, n * m, m)
-        # Contiguous intp copies of the fields, made once per call; the
-        # children interleave, node i's at flat positions 2 * i and 2 * i + 1,
-        # so each step is a single gather.
-        gather = np.maximum(self.feature, 0).astype(np.intp)
-        children = np.empty(2 * gather.size, dtype=np.intp)
-        children[0::2] = self.left
-        children[1::2] = self.right
-        threshold = np.ascontiguousarray(self.threshold)
-        is_cat = np.ascontiguousarray(self.is_cat)
-        node = np.zeros(n, dtype=np.int64)
-        for _ in range(self.depth):
-            vals = flat.take(row_start + gather.take(node))
-            thr = threshold.take(node)
-            go_left = np.where(is_cat.take(node), vals == thr, vals <= thr)
-            node = children.take(2 * node + ~go_left)
-        return node
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self.leaf_prob[self.apply(X)]
 
     def to_dict(self) -> dict:
         return {
@@ -186,7 +188,9 @@ class Tree:
     def from_dict(cls, doc: dict) -> "Tree":
         """Decode a tree whose nodes are numbered as the builder numbers them:
         every node but the root is the child of exactly one node with a lower
-        index, and a leaf (``feature < 0``) points to itself."""
+        index, and a leaf (``feature < 0``) points to itself. Every
+        ``leaf_prob`` value is finite and >= 0, and a leaf's row sums to 1
+        within ``_PROB_TOL``."""
         feature, left, right = (
             np.asarray(doc[key], dtype=np.int64) for key in ("feature", "left", "right")
         )
@@ -201,6 +205,10 @@ class Tree:
         children = np.sort(np.concatenate([left[~leaf], right[~leaf]]))
         if not (child_ok.all() and np.array_equal(children, node[1:])):
             raise ModelFormatError("tree nodes are not numbered depth first")
+        if not (np.isfinite(leaf_prob).all() and (leaf_prob >= 0.0).all()):
+            raise ModelFormatError("tree leaf_prob values must be finite and >= 0")
+        if (np.abs(leaf_prob[leaf].sum(axis=1) - 1.0) > _PROB_TOL).any():
+            raise ModelFormatError(f"a leaf's leaf_prob row must sum to 1 within {_PROB_TOL}")
         return cls(feature, np.asarray(doc["is_cat"], dtype=bool), doc["threshold"],
                    left, right, leaf_prob)
 
@@ -351,26 +359,86 @@ class _TreeBuilder:
         return f, (row[lo + p] + row[lo + p + 1]) / 2.0, False
 
 
-@dataclass
 class RandomForest:
-    """Bagged decision trees plus the schema they were trained against."""
+    """Bagged decision trees plus the schema they were trained against.
 
-    trees: list
-    params: ForestParams
-    schema: FeatureSchema
-    n_classes: int
-    norm_params: tuple | None = None
-    label_values: tuple | None = None
+    The trees' node records live in one read-only table, ``nodes``, tree
+    after tree, with each tree's children numbered within the tree. Tree
+    ``t`` is records ``starts[t]`` to ``starts[t + 1]`` and has depth
+    ``depths[t]``. ``trees`` makes a ``Tree`` view of each on access.
+    """
+
+    # Every result keeps its surrogate alive, so a forest holds three arrays
+    # and no per-instance dict.
+    __slots__ = ("nodes", "starts", "depths", "params", "schema", "n_classes",
+                 "norm_params", "label_values")
+
+    def __init__(self, trees, params: ForestParams, schema: FeatureSchema, n_classes: int,
+                 norm_params: tuple | None = None, label_values: tuple | None = None):
+        # Counts stay counts if every tree holds them; otherwise every tree
+        # brings its probabilities.
+        records = [t._nodes for t in trees]
+        counts = all(r.dtype["value"].base.kind != "f" for r in records)
+        fields = (np.concatenate([r[name] for r in records])
+                  for name in ("feature", "is_cat", "threshold", "left", "right"))
+        value = np.concatenate([r["value"] if counts else t.leaf_prob
+                                for t, r in zip(trees, records)])
+        top = max(max(r.size - 1, r["feature"].max()) for r in records)
+        self.nodes = _records(*fields, value, top)
+        self.starts = np.cumsum([0] + [r.size for r in records])
+        self.depths = np.array([t.depth for t in trees])
+        self.starts.flags.writeable = self.depths.flags.writeable = False
+        self.params = params
+        self.schema = schema
+        self.n_classes = n_classes
+        self.norm_params = norm_params
+        self.label_values = label_values
+
+    @property
+    def trees(self) -> list:
+        """A ``Tree`` view of each tree's records, made on each access."""
+        bounds = self.starts.tolist()
+        return [Tree._view(self.nodes[a:b], d)
+                for a, b, d in zip(bounds, bounds[1:], self.depths.tolist())]
+
+    @property
+    def leaf_prob(self) -> np.ndarray:
+        """Every node's class probabilities, in ``nodes`` order."""
+        return _prob(self.nodes["value"])
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Class probabilities for a batch of normalized instances."""
+        """Class probabilities for a batch of normalized instances.
+
+        All trees are walked at once: a tree-major ``(trees, rows)`` matrix of
+        node indices, in chunks of rows of about ``_WALK_BYTES``, gathers
+        whole records one level per step. Leaf probabilities are added in
+        tree order, as a running sum along the tree axis.
+        """
         X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.schema.arity:
             raise InvalidInputError("prediction batch does not match schema arity")
-        acc = np.zeros((X.shape[0], self.n_classes))
-        for tree in self.trees:
-            acc += tree.predict_proba(X)
-        acc /= len(self.trees)
+        n, m = X.shape
+        roots = self.starts[:-1, None]
+        depth = int(self.depths.max())
+        value = self.nodes["value"]
+        acc = np.empty((n, value.shape[1]))
+        step = max(1, _WALK_BYTES // (8 * roots.size))
+        for lo in range(0, n, step):
+            flat = X[lo : lo + step].ravel()
+            row_start = np.arange(0, flat.size, m)
+            node = np.repeat(roots, row_start.size, axis=1)
+            for _ in range(depth):
+                rec = self.nodes.take(node)
+                # A leaf's feature is -1, which reads some other cell; its
+                # children are itself, so the test is never used.
+                vals = flat.take(row_start + rec["feature"])
+                thr = rec["threshold"]
+                # x == t on a categorical test, x <= t on a continuous one.
+                go_left = (vals <= thr) & ((vals == thr) | ~rec["is_cat"])
+                right = rec["right"]
+                node = roots + right + (rec["left"] - right) * go_left
+            acc[lo : lo + step] = np.cumsum(_prob(value[node]), axis=0)[-1]
+        acc /= roots.size
         acc /= acc.sum(axis=1, keepdims=True)
         return acc
 
@@ -401,6 +469,8 @@ class RandomForest:
             norm_params = tuple(
                 tuple(p) if p else None for p in doc.get("norm_params") or []
             ) or None
+            if norm_params is not None:
+                schema.check_norm_params(norm_params)
             label_values = tuple(doc["label_values"]) if doc.get("label_values") else None
         except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
             raise ModelFormatError(f"malformed model document: {exc}") from None

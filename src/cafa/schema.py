@@ -106,6 +106,21 @@ class FeatureSchema:
     def __eq__(self, other) -> bool:
         return isinstance(other, FeatureSchema) and self.features == other.features
 
+    def check_norm_params(self, norm_params) -> None:
+        """Raise unless ``norm_params`` holds one entry per feature: ``None``
+        for a categorical one, a ``(min, max)`` pair with min < max for a
+        continuous one."""
+        if len(norm_params) != self.arity:
+            raise InvalidInputError("norm_params length does not match schema arity")
+        for f, p in zip(self.features, norm_params):
+            if f.is_categorical:
+                if p is not None:
+                    raise InvalidInputError(
+                        f"feature {f.name!r}: categorical features take no norm params"
+                    )
+            elif p is None or len(p) != 2 or not p[0] < p[1]:
+                raise InvalidInputError(f"feature {f.name!r}: degenerate normalization range")
+
     def to_dict(self) -> dict:
         return {"features": [ColumnSpec.from_feature(f).to_dict() for f in self.features]}
 
@@ -180,20 +195,7 @@ class Dataset:
             raise InvalidInputError("class ids must be >= 0")
         if len(np.unique(y)) < 2:
             raise InvalidInputError("dataset needs at least 2 distinct labels")
-        if len(self.norm_params) != self.schema.arity:
-            raise InvalidInputError("norm_params length does not match schema arity")
-        for f, p in zip(self.schema.features, self.norm_params):
-            if f.is_categorical:
-                if p is not None:
-                    raise InvalidInputError(
-                        f"feature {f.name!r}: categorical features take no norm params"
-                    )
-            else:
-                lo, hi = p
-                if not lo < hi:
-                    raise InvalidInputError(
-                        f"feature {f.name!r}: degenerate normalization range"
-                    )
+        self.schema.check_norm_params(self.norm_params)
         X.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "X", X)
@@ -373,8 +375,9 @@ def load_csv(path, spec: IngestionSpec) -> Dataset:
     mapped to vocabulary indices (vocabularies come from the spec when closed,
     otherwise from the sorted distinct values in the file). Missing cells
     (``?``) are imputed with the column mode (categorical) or median
-    (continuous). Raises :class:`IngestionError` on malformed input,
-    unknown closed-vocabulary categories, or constant continuous columns.
+    (continuous). Raises :class:`IngestionError` on a file that cannot be
+    read or is not UTF-8, malformed input, unknown closed-vocabulary
+    categories, or constant continuous columns.
     """
     path = Path(path)
     try:
@@ -385,9 +388,11 @@ def load_csv(path, spec: IngestionSpec) -> Dataset:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = list(reader)
         except StopIteration:
             raise IngestionError(f"{path}: empty file") from None
-        rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise IngestionError(f"{path}: data file is not UTF-8: {exc}") from None
 
     header = [h.strip() for h in header]
     col_index = {}

@@ -8,7 +8,6 @@ default so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import datetime as _dt
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -19,6 +18,13 @@ _POS = "#d94801"
 _NEG = "#2171b5"
 _GRID = "#cccccc"
 _TEXT = "#222222"
+
+
+def _escape(text: str) -> str:
+    """``text`` as XML character data, byte for byte what
+    ``xml.sax.saxutils.escape`` returns; that module imports
+    ``urllib.request``, and with it the network stack."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(v: float) -> str:
@@ -37,7 +43,7 @@ def _header(width: int, height: int, title: str, timestamp: bool) -> list:
     parts.append(f"<rect width='{width}' height='{height}' fill='white'/>")
     parts.append(
         f"<text x='{width / 2}' y='24' text-anchor='middle' {_FONT} "
-        f"font-size='15' fill='{_TEXT}'>{escape(title)}</text>"
+        f"font-size='15' fill='{_TEXT}'>{_escape(title)}</text>"
     )
     return parts
 
@@ -76,7 +82,7 @@ def bar_chart(
         color = _POS if v >= 0 else _NEG
         parts.append(
             f"<text x='{label_w - 8}' y='{y + 15}' text-anchor='end' {_FONT} "
-            f"font-size='12' fill='{_TEXT}'>{escape(str(name))}</text>"
+            f"font-size='12' fill='{_TEXT}'>{_escape(str(name))}</text>"
         )
         parts.append(
             f"<rect x='{bx:.2f}' y='{y + 3}' width='{max(bar_len, 0.5):.2f}' "
@@ -129,7 +135,7 @@ def summary_chart(
         y = top + rank * row_h + row_h / 2.0
         parts.append(
             f"<text x='{label_w - 8}' y='{y + 4:.2f}' text-anchor='end' {_FONT} "
-            f"font-size='12' fill='{_TEXT}'>{escape(str(names[j]))}</text>"
+            f"font-size='12' fill='{_TEXT}'>{_escape(str(names[j]))}</text>"
         )
         col = phis[:, j]
         # Stack repeated values vertically in observation order so ties stay

@@ -472,6 +472,42 @@ def test_non_utf8_files_exit_with_their_document_code(ws, tmp_path, capsys):
     assert capsys.readouterr().err.count("not valid JSON") == 4
 
 
+def test_nan_leaves_exit_4(ws, tmp_path, capsys):
+    def nan_leaves(doc):
+        for tree in doc["trees"]:
+            tree["leaf_prob"] = [[float("nan")] * len(row) for row in tree["leaf_prob"]]
+
+    model = _model_with(ws, tmp_path, nan_leaves)
+    assert _explain(ws, tmp_path / "o", "--instance", "0", "--method", "shap",
+                    "--model", model) == 4
+    assert "leaf_prob values must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda p: p.pop(), "norm_params length", id="short"),
+    # feature 0 is continuous
+    pytest.param(lambda p: p.__setitem__(0, [1.0, 1.0]), "degenerate normalization range",
+                 id="degenerate"),
+])
+def test_norm_params_that_do_not_fit_the_schema_exit_4(ws, tmp_path, capsys, edit, message):
+    with open(ws["data"], newline="") as fh:
+        raw = {k: v for k, v in next(csv.DictReader(fh)).items() if k != "class"}
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps(raw))
+    model = _model_with(ws, tmp_path, lambda d: edit(d["norm_params"]))
+    assert _explain(ws, tmp_path / "o", "--instance", str(inst), "--method", "shap",
+                    "--model", model) == 4
+    assert message in capsys.readouterr().err
+
+
+def test_non_utf8_data_file_exits_3(ws, tmp_path, capsys):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(Path(ws["data"]).read_bytes() + "caf\xe9\n".encode("latin-1"))
+    assert main(["train", "--data", str(latin1), "--spec", ws["spec"],
+                 "--out", str(tmp_path / "m.json")]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_explanation_error_exit_5(tmp_path, capsys):
     # label depends only on the uncontrollable feature, so with it pinned the
     # model is constant and no balanced neighborhood exists

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 import types
 
 import numpy as np
@@ -21,24 +22,28 @@ def _stump_ref(x, feature, threshold, left, right, is_cat=False):
     return left if go_left else right
 
 
+def _one_tree(tree, schema) -> RandomForest:
+    return RandomForest([tree], ForestParams(n_trees=1), schema, tree.leaf_prob.shape[1])
+
+
 def test_stump_oracle_continuous():
     left, right = np.array([0.9, 0.1]), np.array([0.2, 0.8])
-    tree = stump(0, 0.5, left, right)
+    forest = _one_tree(stump(0, 0.5, left, right), make_schema(["cont"] * 4))
     # brute force over all corners of the {0, 0.25, 1}^4 grid
     for corner in itertools.product([0.0, 0.25, 1.0], repeat=4):
         x = np.array(corner)
         want = _stump_ref(x, 0, 0.5, left, right)
-        got = tree.predict_proba(x[None, :])[0]
+        got = forest.predict_proba(x[None, :])[0]
         assert np.array_equal(got, want)
 
 
 def test_stump_oracle_categorical():
     left, right = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    tree = stump(1, 2.0, left, right, is_cat=True)
+    forest = _one_tree(stump(1, 2.0, left, right, is_cat=True), make_schema(["cont", 4]))
     for code in range(4):
         x = np.array([0.0, float(code)])
         want = _stump_ref(x, 1, 2.0, left, right, is_cat=True)
-        assert np.array_equal(tree.predict_proba(x[None, :])[0], want)
+        assert np.array_equal(forest.predict_proba(x[None, :])[0], want)
 
 
 def _walk(tree, x):
@@ -51,14 +56,42 @@ def _walk(tree, x):
     return node
 
 
-def test_apply_matches_row_by_row_walk():
+def _normalized(prob):
+    """What a forest makes of its summed leaf probabilities: rows over their sums."""
+    return prob / prob.sum(axis=1, keepdims=True)
+
+
+def test_one_tree_forest_matches_row_by_row_walk():
     kinds = ("cont", 3, "cont", 5, 2, "cont")
     data = generate_synth(SynthSpec(6, 0, 300, seed=4, kinds=kinds))
     model = train_forest(data, ForestParams(n_trees=5, max_depth=6, seed=4))
-    X = np.asfortranarray(data.X[:80])  # apply must not assume C order
+    X = np.asfortranarray(data.X[:80])  # predict must not assume C order
     for tree in model.trees:
-        want = [_walk(tree, x) for x in X]
-        assert np.array_equal(tree.apply(X), want)
+        want = _normalized(tree.leaf_prob[[_walk(tree, x) for x in X]])
+        assert np.array_equal(_one_tree(tree, data.schema).predict_proba(X), want)
+
+
+def _apply_reference(tree, X):
+    """Leaf reached by every row of ``X``, one tree walked on its own."""
+    rows = np.arange(X.shape[0])
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    for _ in range(tree.depth):
+        vals = X[rows, np.maximum(tree.feature[node], 0)]
+        thr = tree.threshold[node]
+        go_left = np.where(tree.is_cat[node], vals == thr, vals <= thr)
+        node = np.where(go_left, tree.left[node], tree.right[node])
+    return node
+
+
+def predict_reference(forest, X):
+    """Tree by tree: each tree's leaf probabilities added in order, then
+    divided by the tree count and normalized."""
+    trees = forest.trees
+    acc = np.zeros((X.shape[0], trees[0].leaf_prob.shape[1]))
+    for tree in trees:
+        acc += tree.leaf_prob[_apply_reference(tree, X)]
+    acc /= len(trees)
+    return _normalized(acc)
 
 
 def test_forest_probability_is_mean_of_trees():
@@ -216,10 +249,53 @@ def _trained_doc() -> dict:
     pytest.param({"trees": [{**_STUMP, "leaf_prob": [0.5, 0.5, 0.5]}]}, id="flat-leaf-prob"),
     pytest.param({"n_classes": 1}, id="one-class"),
     pytest.param({"trees": []}, id="no-trees"),
+    pytest.param({"trees": [{**_STUMP, "leaf_prob": [[0.0, 0.0], [np.nan, np.nan], [0.0, 1.0]]}]},
+                 id="nan-leaf"),
+    pytest.param({"trees": [{**_STUMP, "leaf_prob": [[0.0, 0.0], [1.0, 0.0], [np.inf, 1.0]]}]},
+                 id="infinite-leaf"),
+    pytest.param({"trees": [{**_STUMP, "leaf_prob": [[0.0, 0.0], [1.5, -0.5], [0.0, 1.0]]}]},
+                 id="negative-leaf"),
+    pytest.param({"trees": [{**_STUMP, "leaf_prob": [[np.nan, 0.0], [1.0, 0.0], [0.0, 1.0]]}]},
+                 id="nan-inner-node"),
+    pytest.param({"trees": [{**_STUMP, "leaf_prob": [[0.0, 0.0], [0.5, 0.4], [0.0, 1.0]]}]},
+                 id="leaf-sums-below-1"),
+    pytest.param({"trees": [{**_STUMP, "leaf_prob": [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]}]},
+                 id="leaf-sums-above-1"),
 ])
 def test_load_rejects_a_tree_that_is_not_a_builder_tree(edit):
     with pytest.raises(ModelFormatError):
         RandomForest.from_dict({**_trained_doc(), **edit})
+
+
+def test_load_rejects_a_trained_model_with_nan_leaves():
+    doc = _trained_doc()
+    for tree in doc["trees"]:
+        tree["leaf_prob"] = [[float("nan")] * 2 for _ in tree["leaf_prob"]]
+    with pytest.raises(ModelFormatError, match="finite"):
+        RandomForest.from_dict(json.loads(json.dumps(doc)))
+
+
+def test_load_takes_leaf_rows_that_sum_to_1_within_the_tolerance():
+    third = 1.0 / 3.0
+    leaves = [[0.0, 0.0], [third, 2.0 * third + 5e-7], [0.0, 1.0]]
+    doc = {**_trained_doc(), "trees": [{**_STUMP, "leaf_prob": leaves}]}
+    assert RandomForest.from_dict(doc).trees[0].leaf_prob.tolist() == leaves
+
+
+@pytest.mark.parametrize("norm_params", [
+    pytest.param([[0.0, 1.0], None], id="short"),
+    pytest.param([[0.0, 1.0], None, [0.0, 1.0], None], id="long"),
+    pytest.param([[0.0, 1.0], None, [1.0, 1.0]], id="degenerate"),
+    pytest.param([[0.0, 1.0], None, [2.0, 1.0]], id="reversed"),
+    pytest.param([[0.0, 1.0], None, [0.0]], id="one-bound"),
+    pytest.param([[0.0, 1.0], None, None], id="continuous-without-range"),
+    pytest.param([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]], id="categorical-with-range"),
+])
+def test_load_rejects_norm_params_that_do_not_fit_the_schema(norm_params):
+    # the trained schema is (cont, cat, cont); Dataset rejects the same lists
+    doc = {**_trained_doc(), "norm_params": norm_params}
+    with pytest.raises(ModelFormatError, match="norm"):
+        RandomForest.from_dict(doc)
 
 
 def test_load_rejects_a_root_that_is_its_own_child():
@@ -328,14 +404,100 @@ def test_wide_feature_index_takes_int32_records():
     X = np.hstack([X, np.zeros((12, wide - 1))])
     X[:, wide] = np.linspace(0.0, 1.0, 12)
     want = [1 if x[wide] <= 0.5 else (3 if x[1] == 2.0 else 4) for x in X]
-    assert np.array_equal(tree.apply(X), want)
     forest = RandomForest([tree], ForestParams(n_trees=1), schema, 3)
+    assert forest.nodes.dtype["left"] == np.int32
+    assert np.array_equal(forest.predict_proba(X), _normalized(tree.leaf_prob[want]))
     doc = json.loads(json.dumps(tree.to_dict()))
     again = Tree.from_dict(doc)
     assert again.to_dict() == tree.to_dict()
     assert again.feature.dtype == np.int32
     again_forest = RandomForest([again], ForestParams(n_trees=1), schema, 3)
     assert np.array_equal(again_forest.predict_proba(X), forest.predict_proba(X))
+
+
+def _wide_tree_case():
+    """The int32-index tree above, and rows that reach each of its leaves."""
+    wide = 2**15
+    tree = Tree([wide, -1, 1, -1, -1], [False, False, True, False, False],
+                [0.5, 0.0, 2.0, 0.0, 0.0], [1, 1, 3, 3, 4], [2, 1, 4, 3, 4],
+                [[0, 0, 0], [0.5, 0.5, 0], [0, 0, 0], [0, 0.25, 0.75], [0, 0, 1.0]])
+    schema = make_schema(["cont", 3] + ["cont"] * (wide - 1))
+    X = np.zeros((12, wide + 1))
+    X[:, 1] = np.arange(12) % 3
+    X[:, wide] = np.linspace(0.0, 1.0, 12)
+    return RandomForest([tree], ForestParams(n_trees=1), schema, 3), X
+
+
+def _mixed_depth_case():
+    """Trained trees with a single leaf, a stump and a depth-5 chain added."""
+    data = generate_synth(SynthSpec(3, 1, 150, seed=6))
+    shallow, deep = (train_forest(data, ForestParams(n_trees=3, max_depth=d, seed=1)).trees
+                     for d in (2, 4))
+    leaf = Tree([-1], [False], [0.0], [0], [0], [[0.4, 0.6]])
+    chain = Tree([0, -1, 2, -1, 0, -1, 2, -1, 0, -1, -1], [False] * 11, [0.8, 0, 0.3, 0, 0.6,
+                 0, 0.1, 0, 0.4, 0, 0], [1, 1, 3, 3, 5, 5, 7, 7, 9, 9, 10],
+                 [2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 10],
+                 [[0.5, 0.5], [0.9, 0.1], [0.5, 0.5], [0.3, 0.7], [0.5, 0.5], [0.6, 0.4],
+                  [0.5, 0.5], [0.2, 0.8], [0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
+    trees = [*deep, leaf, stump(1, 1.0, np.array([0.7, 0.3]), np.array([0.1, 0.9]),
+             is_cat=True), *shallow, chain]
+    forest = RandomForest(trees, ForestParams(n_trees=9), data.schema, 2)
+    assert sorted(set(forest.depths.tolist())) == [0, 1, 2, 4, 5]
+    return forest, data.X
+
+
+def _trained_case(make, params):
+    data = make()
+    return train_forest(data, params), data.X
+
+
+PREDICT_CASES = {
+    "mixed_depth": _mixed_depth_case,
+    "three_class": lambda: _trained_case(_three_class, ForestParams(n_trees=7, seed=4)),
+    "int32_index": _wide_tree_case,
+    "one_tree": lambda: _trained_case(_synth, ForestParams(n_trees=1, seed=2)),
+    "deep": lambda: _trained_case(_synth, ForestParams(n_trees=4, min_leaf=1, max_depth=12,
+                                                       seed=5)),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 7])
+@pytest.mark.parametrize("case", sorted(PREDICT_CASES))
+def test_predict_proba_matches_per_tree_reference(case, chunk_rows, monkeypatch):
+    forest, X = PREDICT_CASES[case]()
+    if chunk_rows:
+        # the batch spans several chunks and ends in a short one
+        monkeypatch.setattr("cafa.forest._WALK_BYTES", 8 * (forest.starts.size - 1) * chunk_rows)
+        assert X.shape[0] > chunk_rows and X.shape[0] % chunk_rows
+    assert forest.predict_proba(X).tobytes() == predict_reference(forest, X).tobytes()
+
+
+def test_forest_keeps_one_node_table_and_trees_are_views_of_it():
+    forest, _ = _mixed_depth_case()
+    assert not forest.nodes.flags.writeable
+    # the hand-built trees hold probabilities, so every row is one
+    assert forest.nodes.dtype["value"].base == np.float64
+    for tree in forest.trees:
+        assert tree._nodes.base is forest.nodes
+        assert tree.to_dict() == Tree.from_dict(tree.to_dict()).to_dict()
+    trained = train_forest(_synth(), ForestParams(n_trees=3, seed=1))
+    assert trained.nodes.dtype["value"].base == np.uint8  # no class reaches 256 rows
+    assert trained.nodes.dtype["left"] == np.int16
+
+
+def test_trained_forest_holds_little_beyond_its_node_table():
+    # what an explanation that keeps its surrogate keeps: the bytes freed
+    # when the forest goes
+    tracemalloc.start()
+    try:
+        forest = train_forest(_synth(), ForestParams(n_trees=100, seed=0))
+        packed = forest.nodes.nbytes
+        with_forest = tracemalloc.get_traced_memory()[0]
+        del forest
+        held = with_forest - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert packed < held <= 1.05 * packed
 
 
 def test_small_tree_takes_int16_records():
@@ -360,7 +522,8 @@ def test_trained_trees_store_counts_and_reload_as_probabilities():
         assert again._nodes.dtype["value"].base == np.float64
         assert again.to_dict() == tree.to_dict()
         assert again.leaf_prob.tobytes() == prob.tobytes()
-        assert np.array_equal(again.apply(data.X), tree.apply(data.X))
+        got = _one_tree(again, data.schema).predict_proba(data.X)
+        assert got.tobytes() == _one_tree(tree, data.schema).predict_proba(data.X).tobytes()
 
 
 @pytest.mark.parametrize("trained", [False, True])

@@ -278,6 +278,14 @@ def test_missing_column_and_file(tmp_path):
         load_csv(_write(tmp_path, "", "e.csv"), spec)
 
 
+def test_non_utf8_data_file_is_a_data_error(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes("v,class\n1,caf\xe9\n2,b\n".encode("latin-1"))
+    spec = IngestionSpec(label="class", columns=(ColumnSpec("v", "cont", True),))
+    with pytest.raises(IngestionError, match="not UTF-8"):
+        load_csv(p, spec)
+
+
 def test_missing_cells_imputed(tmp_path):
     p = _write(tmp_path, "g,v,class\nlo,1,a\n?,?,b\nlo,3,a\nhi,5,b\n")
     spec = IngestionSpec(
