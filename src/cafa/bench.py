@@ -22,15 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .schema import (
-    Categorical,
-    Continuous,
-    ColumnSpec,
-    Dataset,
-    Feature,
-    FeatureSchema,
-    IngestionSpec,
-)
+from .schema import Dataset, Feature, FeatureSchema, IngestionSpec
 
 
 @dataclass(frozen=True)
@@ -92,6 +84,13 @@ class SynthSpec:
 _DEFAULT_KIND_CYCLE = ("cont", 3, "cont", 5)
 
 
+def _feature(name: str, kind, controllable: bool) -> Feature:
+    """A ``"cont"`` feature, or for an int ``kind`` a categorical one coded "0".."kind-1"."""
+    if kind == "cont":
+        return Feature(name, "cont", controllable)
+    return Feature(name, "cat", controllable, vocabulary=tuple(str(c) for c in range(kind)))
+
+
 def synth_schema(spec: SynthSpec) -> FeatureSchema:
     kinds = spec.kinds or tuple(
         _DEFAULT_KIND_CYCLE[i % len(_DEFAULT_KIND_CYCLE)] for i in range(spec.m)
@@ -100,8 +99,7 @@ def synth_schema(spec: SynthSpec) -> FeatureSchema:
     for i, k in enumerate(kinds):
         controllable = i >= spec.m_uncontrollable
         name = f"{'c' if controllable else 'u'}{i - spec.m_uncontrollable if controllable else i}"
-        kind = Continuous() if k == "cont" else Categorical(tuple(str(c) for c in range(k)))
-        features.append(Feature(name=name, kind=kind, controllable=controllable))
+        features.append(_feature(name, k, controllable))
     return FeatureSchema(tuple(features))
 
 
@@ -232,20 +230,15 @@ def _measure_strength(name: str, code: int) -> float:
 
 
 def covid_schema() -> FeatureSchema:
-    features = [
-        Feature(name, Categorical(("0", "M1", "M2", "M3", "M4", "H1", "H2", "H3", "H4")), True)
-        for name in _TWO_LEVEL
-    ]
-    features += [Feature(name, Categorical(("0", "1", "2", "3", "4")), True) for name in _BINARY]
+    two_level = ("0", "M1", "M2", "M3", "M4", "H1", "H2", "H3", "H4")
+    features = [Feature(name, "cat", True, vocabulary=two_level) for name in _TWO_LEVEL]
+    features += [_feature(name, 5, True) for name in _BINARY]
     features += [
-        Feature("cases", Continuous(), False),
-        Feature("cum_cases", Continuous(), False),
-        Feature("deaths", Continuous(), False),
-        Feature("tests", Continuous(), False),
-        Feature("temperature", Continuous(), False),
-        Feature("humidity", Continuous(), False),
-        Feature("region", Categorical(tuple(f"R{i}" for i in range(_N_REGIONS))), False),
+        Feature(name, "cont", False)
+        for name in ("cases", "cum_cases", "deaths", "tests", "temperature", "humidity")
     ]
+    regions = tuple(f"R{i}" for i in range(_N_REGIONS))
+    features.append(Feature("region", "cat", False, vocabulary=regions))
     return FeatureSchema(tuple(features))
 
 
@@ -411,11 +404,7 @@ _LUNG_ROWS = 2242
 
 
 def lung_schema() -> FeatureSchema:
-    features = []
-    for name, kind, controllable in _LUNG_FEATURES:
-        k = Continuous() if kind == "cont" else Categorical(tuple(str(c) for c in range(kind)))
-        features.append(Feature(name, k, controllable))
-    return FeatureSchema(tuple(features))
+    return FeatureSchema(_feature(*entry) for entry in _LUNG_FEATURES)
 
 
 def lung_preset(seed: int = 0) -> Dataset:
@@ -478,10 +467,7 @@ _BREAST_POSITIVES = 85
 
 def breast_ingestion_spec() -> IngestionSpec:
     """Column spec with closed vocabularies for the 286-row table."""
-    cols = [
-        ColumnSpec(name=name, kind="cat", controllable=ctrl, vocabulary=vocab)
-        for name, vocab, ctrl in _BREAST_COLUMNS
-    ]
+    cols = (Feature(name, "cat", ctrl, vocabulary=vocab) for name, vocab, ctrl in _BREAST_COLUMNS)
     return IngestionSpec(label="class", columns=tuple(cols))
 
 

@@ -14,55 +14,93 @@ import json
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CafaError, IngestionError, InvalidInputError
+from .errors import CafaError, IngestionError, InvalidInputError, ModelFormatError
 
 MISSING_CELL = "?"
 
 
 @dataclass(frozen=True)
-class Categorical:
-    """Categorical feature kind with an ordered, duplicate-free vocabulary."""
-
-    vocabulary: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "vocabulary", tuple(str(v) for v in self.vocabulary))
-        if not self.vocabulary:
-            raise InvalidInputError("categorical vocabulary must be non-empty")
-        if len(set(self.vocabulary)) != len(self.vocabulary):
-            raise InvalidInputError("categorical vocabulary contains duplicates")
-
-    @property
-    def size(self) -> int:
-        return len(self.vocabulary)
-
-
-@dataclass(frozen=True)
-class Continuous:
-    """Continuous feature kind; values live in [0, 1] after normalization."""
-
-
-FeatureKind = Categorical | Continuous
-
-
-@dataclass(frozen=True)
 class Feature:
+    """One feature column: a schema feature, and the codec for one feature
+    entry of a spec or model file.
+
+    ``kind`` is ``"cat"`` or ``"cont"``. A categorical feature's
+    ``vocabulary`` is its ordered, duplicate-free list of categories; a spec
+    may leave it open (``None``) for :func:`load_csv` to read from the data,
+    a schema may not.
+    """
+
     name: str
-    kind: FeatureKind
+    kind: str  # "cat" | "cont"
     controllable: bool
     weight: float = 1.0
+    vocabulary: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", _weight(self.name, self.weight))
+        if self.kind not in ("cat", "cont"):
+            raise InvalidInputError(f"feature {self.name!r}: kind must be 'cat' or 'cont'")
+        w = self.weight
+        if isinstance(w, bool) or not isinstance(w, numbers.Real) or not math.isfinite(w) or w < 0:
+            raise InvalidInputError(
+                f"feature {self.name!r}: weight must be a finite number >= 0, got {w!r}"
+            )
+        object.__setattr__(self, "weight", float(w))
+        vocab = self.vocabulary
+        if vocab is None:
+            return
+        if self.kind == "cont":
+            raise InvalidInputError(f"feature {self.name!r}: a 'cont' feature takes no vocabulary")
+        if not isinstance(vocab, (list, tuple)) or not all(
+            isinstance(v, (str, numbers.Real)) and not isinstance(v, bool) for v in vocab
+        ):
+            raise InvalidInputError(f"feature {self.name!r}: vocabulary must be a list of "
+                                    f"strings or numbers, got {vocab!r}")
+        vocab = tuple(str(v) for v in vocab)
+        if not vocab:
+            raise InvalidInputError(f"feature {self.name!r}: vocabulary must be non-empty")
+        if len(set(vocab)) != len(vocab):
+            raise InvalidInputError(f"feature {self.name!r}: vocabulary contains duplicates")
+        object.__setattr__(self, "vocabulary", vocab)
 
     @property
     def is_categorical(self) -> bool:
-        return isinstance(self.kind, Categorical)
+        return self.kind == "cat"
+
+    @classmethod
+    def from_dict(cls, entry, controllable: bool | None = None) -> "Feature":
+        """Decode one JSON feature entry.
+
+        ``controllable`` is the flag of an entry that carries none; when it
+        is None, the entry must carry its own.
+        """
+        if not isinstance(entry, dict):
+            raise InvalidInputError(f"feature entry must be a JSON object, got {entry!r}")
+        if controllable is not None:
+            entry = {"controllable": controllable, **entry}
+        try:
+            name, kind, flag = entry["name"], entry["kind"], entry["controllable"]
+        except KeyError as exc:
+            raise InvalidInputError(f"feature entry is missing {exc}") from None
+        if not isinstance(flag, bool):
+            raise InvalidInputError(f"feature {name!r}: 'controllable' must be true or "
+                                    f"false, got {flag!r}")
+        return cls(name, kind, flag, entry.get("weight", 1.0), entry.get("vocabulary"))
+
+    def to_dict(self) -> dict:
+        entry = {
+            "name": self.name,
+            "kind": self.kind,
+            "controllable": self.controllable,
+            "weight": self.weight,
+        }
+        if self.vocabulary is not None:
+            entry["vocabulary"] = list(self.vocabulary)
+        return entry
 
 
 class FeatureSchema:
@@ -76,6 +114,10 @@ class FeatureSchema:
         features = tuple(features)
         if not features:
             raise InvalidInputError("schema needs at least one feature")
+        for f in features:
+            if f.is_categorical and f.vocabulary is None:
+                raise InvalidInputError(f"feature {f.name!r}: a categorical feature needs "
+                                        "a vocabulary")
         names = [f.name for f in features]
         if len(set(names)) != len(names):
             raise InvalidInputError("feature names must be unique")
@@ -89,7 +131,7 @@ class FeatureSchema:
         self.is_categorical = np.array([f.is_categorical for f in features], dtype=bool)
         self.is_categorical.setflags(write=False)
         self.vocab_sizes = np.array(
-            [f.kind.size if f.is_categorical else 0 for f in features], dtype=np.int64
+            [len(f.vocabulary) if f.is_categorical else 0 for f in features], dtype=np.int64
         )
         self.vocab_sizes.setflags(write=False)
         self.controllable_idx = np.array(
@@ -122,21 +164,11 @@ class FeatureSchema:
                 raise InvalidInputError(f"feature {f.name!r}: degenerate normalization range")
 
     def to_dict(self) -> dict:
-        return {"features": [ColumnSpec.from_feature(f).to_dict() for f in self.features]}
+        return {"features": [f.to_dict() for f in self.features]}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FeatureSchema":
-        return cls(ColumnSpec.from_dict(entry).to_feature() for entry in doc["features"])
-
-
-def _weight(name: str, value) -> float:
-    """A feature's weight: a finite number >= 0, where a bool or a string is not one."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value < 0):
-        raise InvalidInputError(
-            f"feature {name!r}: weight must be a finite number >= 0, got {value!r}"
-        )
-    return float(value)
+        return cls(Feature.from_dict(entry) for entry in doc["features"])
 
 
 def validate_instance(schema: FeatureSchema, values) -> np.ndarray:
@@ -156,7 +188,7 @@ def validate_instance(schema: FeatureSchema, values) -> np.ndarray:
     for i, f in enumerate(schema.features):
         v = x[i]
         if f.is_categorical:
-            if v != round(v) or not (0 <= v < f.kind.size):
+            if v != round(v) or not (0 <= v < len(f.vocabulary)):
                 raise InvalidInputError(
                     f"feature {f.name!r}: {v} is not a valid category code"
                 )
@@ -235,81 +267,11 @@ def denormalize(value: float, lo: float, hi: float) -> float:
 
 
 @dataclass(frozen=True)
-class ColumnSpec:
-    """One feature entry of a spec or model file, and the codec for it."""
-
-    name: str
-    kind: str  # "cat" | "cont"
-    controllable: bool
-    weight: float = 1.0
-    vocabulary: tuple[str, ...] | None = None  # closes the vocabulary when given
-
-    def __post_init__(self):
-        if self.kind not in ("cat", "cont"):
-            raise InvalidInputError(f"column {self.name!r}: kind must be 'cat' or 'cont'")
-        object.__setattr__(self, "weight", _weight(self.name, self.weight))
-        if self.vocabulary is not None:
-            object.__setattr__(self, "vocabulary", tuple(str(v) for v in self.vocabulary))
-
-    @classmethod
-    def from_dict(cls, entry, controllable: bool | None = None) -> "ColumnSpec":
-        """Decode one JSON feature entry.
-
-        ``controllable`` is the flag of an entry that carries none; when it
-        is None, the entry must carry its own.
-        """
-        if not isinstance(entry, dict):
-            raise InvalidInputError(f"feature entry must be a JSON object, got {entry!r}")
-        if controllable is not None:
-            entry = {"controllable": controllable, **entry}
-        try:
-            name, kind, flag = entry["name"], entry["kind"], entry["controllable"]
-        except KeyError as exc:
-            raise InvalidInputError(f"feature entry is missing {exc}") from None
-        if not isinstance(flag, bool):
-            raise InvalidInputError(f"feature {name!r}: 'controllable' must be true or "
-                                    f"false, got {flag!r}")
-        return cls(name, kind, flag, entry.get("weight", 1.0), entry.get("vocabulary"))
-
-    def to_dict(self) -> dict:
-        entry = {
-            "name": self.name,
-            "kind": self.kind,
-            "controllable": self.controllable,
-            "weight": self.weight,
-        }
-        if self.vocabulary is not None:
-            entry["vocabulary"] = list(self.vocabulary)
-        return entry
-
-    @classmethod
-    def from_feature(cls, f: Feature) -> "ColumnSpec":
-        vocabulary = f.kind.vocabulary if f.is_categorical else None
-        return cls(f.name, "cat" if f.is_categorical else "cont", f.controllable, f.weight,
-                   vocabulary)
-
-    def to_feature(self, vocabulary=None) -> Feature:
-        """The schema feature this column declares. A categorical column takes
-        its closed vocabulary, else ``vocabulary``, the categories found in
-        the data."""
-        if self.vocabulary is not None:
-            vocabulary = self.vocabulary
-        if self.kind == "cont":
-            kind = Continuous()
-        elif vocabulary is None:
-            raise InvalidInputError(f"feature {self.name!r}: a categorical feature needs "
-                                    "a vocabulary")
-        else:
-            kind = Categorical(vocabulary)
-        return Feature(self.name, kind, self.controllable, self.weight)
-
-
-@dataclass(frozen=True)
 class IngestionSpec:
     """Names the label column and describes every feature column."""
 
     label: str
-    columns: tuple[ColumnSpec, ...] = field(default_factory=tuple)
+    columns: tuple[Feature, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if not self.columns:
@@ -323,7 +285,7 @@ class IngestionSpec:
         except (KeyError, TypeError) as exc:
             raise IngestionError(f"ingestion spec missing key: {exc}") from None
         try:
-            cols = tuple(ColumnSpec.from_dict(entry, controllable=True) for entry in feats)
+            cols = tuple(Feature.from_dict(entry, controllable=True) for entry in feats)
         except (TypeError, InvalidInputError) as exc:
             raise IngestionError(f"malformed ingestion spec feature: {exc}") from None
         return cls(label=label, columns=cols)
@@ -429,10 +391,7 @@ def load_csv(path, spec: IngestionSpec) -> Dataset:
             if fill is None:
                 raise IngestionError(f"{path}: column {c.name!r}: all values missing")
             cells = [fill if v == MISSING_CELL else v for v in cells]
-            if c.vocabulary is not None:
-                vocab = c.vocabulary
-            else:
-                vocab = tuple(_sort_values(set(cells)))
+            vocab = c.vocabulary or tuple(_sort_values(set(cells)))
             code = {v: i for i, v in enumerate(vocab)}
             for r, v in enumerate(cells):
                 if v not in code:
@@ -441,7 +400,7 @@ def load_csv(path, spec: IngestionSpec) -> Dataset:
                         f"for column {c.name!r}"
                     )
                 X[r, j] = code[v]
-            features.append(c.to_feature(vocab))
+            features.append(replace(c, vocabulary=vocab))
             norm_params.append(None)
         else:
             parsed = np.full(n, np.nan)
@@ -465,7 +424,7 @@ def load_csv(path, spec: IngestionSpec) -> Dataset:
                     f"{path}: column {c.name!r}: constant continuous column"
                 )
             X[:, j] = (parsed - lo) / (hi - lo)
-            features.append(c.to_feature())
+            features.append(c)
             norm_params.append((lo, hi))
 
     label_values = tuple(_sort_values(set(raw_labels)))
@@ -483,7 +442,8 @@ def encode_instance(schema: FeatureSchema, norm_params, raw: dict) -> np.ndarray
 
     Categorical values are looked up in the vocabulary; continuous values are
     min-max scaled with the dataset's recorded parameters and clamped, so
-    query points outside the training range stay representable.
+    query points outside the training range stay representable. A model
+    loaded without ``norm_params`` cannot scale them: :class:`ModelFormatError`.
     """
     x = np.empty(schema.arity, dtype=np.float64)
     for i, f in enumerate(schema.features):
@@ -492,11 +452,14 @@ def encode_instance(schema: FeatureSchema, norm_params, raw: dict) -> np.ndarray
         v = raw[f.name]
         if f.is_categorical:
             key = str(v)
-            if key not in f.kind.vocabulary:
+            if key not in f.vocabulary:
                 raise InvalidInputError(
                     f"feature {f.name!r}: unknown category {key!r}"
                 )
-            x[i] = f.kind.vocabulary.index(key)
+            x[i] = f.vocabulary.index(key)
+        elif norm_params is None:
+            raise ModelFormatError(f"feature {f.name!r}: the model has no norm_params "
+                                   "to scale a raw value with")
         else:
             try:
                 value = float(v)
@@ -520,7 +483,7 @@ def dataset_to_raw_csv(data: Dataset, path) -> None:
             for j, f in enumerate(data.schema.features):
                 v = data.X[i, j]
                 if f.is_categorical:
-                    cells.append(f.kind.vocabulary[int(v)])
+                    cells.append(f.vocabulary[int(v)])
                 else:
                     lo, hi = data.norm_params[j]
                     cells.append(repr(denormalize(float(v), lo, hi)))
@@ -533,4 +496,4 @@ def dataset_to_raw_csv(data: Dataset, path) -> None:
 
 def ingestion_spec_for(data: Dataset) -> "IngestionSpec":
     """Ingestion spec (closed vocabularies, label ``class``) matching a dataset's schema."""
-    return IngestionSpec("class", tuple(ColumnSpec.from_feature(f) for f in data.schema.features))
+    return IngestionSpec("class", data.schema.features)

@@ -8,7 +8,7 @@ from hypothesis import settings
 
 from cafa.explain import Background, _prob1
 from cafa.forest import Tree
-from cafa.schema import Categorical, Continuous, Feature, FeatureSchema
+from cafa.schema import Feature, FeatureSchema
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
@@ -60,13 +60,13 @@ def make_schema(kinds, controllable=None, weights=None, names=None):
     """Build a schema from a list of "cont" / int-vocab-size entries."""
     feats = []
     for i, k in enumerate(kinds):
-        kind = Continuous() if k == "cont" else Categorical(tuple(str(c) for c in range(k)))
         feats.append(
             Feature(
                 name=names[i] if names else f"f{i}",
-                kind=kind,
+                kind="cont" if k == "cont" else "cat",
                 controllable=True if controllable is None else bool(controllable[i]),
                 weight=1.0 if weights is None else float(weights[i]),
+                vocabulary=None if k == "cont" else tuple(str(c) for c in range(k)),
             )
         )
     return FeatureSchema(feats)

@@ -18,7 +18,8 @@ from cafa.bench import (
     write_breast_csv,
 )
 from cafa.errors import InvalidInputError
-from cafa.forest import ForestParams, accuracy, train_forest
+from cafa.forest import ForestParams, RandomForest, accuracy, train_forest
+from cafa.schema import FeatureSchema, IngestionSpec, ingestion_spec_for, load_csv
 
 from .conftest import DATA_DIR
 
@@ -134,11 +135,11 @@ def test_covid_shape_and_schema(covid):
             if name in ("mask_indoor", "mask_outdoor", "home_visits",
                         "contact_restr", "public_ban", "school_limit") \
             else ("0", "1", "2", "3", "4")
-        assert f.kind.vocabulary == want
+        assert f.vocabulary == want
     for name in CONTEXT:
         assert not schema.features[schema.names.index(name)].controllable
     region = schema.features[schema.names.index("region")]
-    assert region.kind.vocabulary == tuple(f"R{i}" for i in range(12))
+    assert region.vocabulary == tuple(f"R{i}" for i in range(12))
     _dataset_ok(covid)
     assert set(np.unique(covid.y)) == {0, 1}
     assert covid_schema().names == schema.names
@@ -174,7 +175,7 @@ def test_covid_hard_contact_restrictions_carry_the_signal(covid):
     # the strongest planted lever must tell you more about the label than
     # any of the context columns an explainer is told to leave alone
     schema = covid.schema
-    vocab = schema.features[schema.names.index("contact_restr")].kind.vocabulary
+    vocab = schema.features[schema.names.index("contact_restr")].vocabulary
     hard = {i for i, c in enumerate(vocab) if c.startswith("H")}
     cr_hard = np.isin(covid.X[:, schema.names.index("contact_restr")], sorted(hard)).astype(int)
     mi_lever = _plugin_mi(covid.y, cr_hard)
@@ -231,6 +232,35 @@ def test_shipped_breast_csv_matches_generator(tmp_path):
     out = tmp_path / "regen.csv"
     write_breast_csv(out)
     assert out.read_bytes() == (DATA_DIR / "breast_cancer.csv").read_bytes()
+
+
+# -- feature entries ---------------------------------------------------------
+
+_PRESETS = {
+    "covid": lambda request: request.getfixturevalue("covid"),
+    "lung": lambda request: lung_preset(seed=0),
+    "synth": lambda request: generate_synth(SynthSpec(3, 2, 200, seed=1)),
+    "breast": lambda request: request.getfixturevalue("breast_data"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRESETS))
+def test_schema_spec_and_model_share_one_feature_codec(name, request, tmp_path):
+    data = _PRESETS[name](request)
+    schema = data.schema
+    assert FeatureSchema.from_dict(schema.to_dict()) == schema
+    assert ingestion_spec_for(data).columns == schema.features
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    train_forest(data, ForestParams(n_trees=2, max_depth=3, seed=0)).save(first)
+    RandomForest.load(first).save(second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_breast_spec_round_trips_and_closes_every_vocabulary():
+    spec = breast_ingestion_spec()
+    assert IngestionSpec.from_dict(spec.to_dict()) == spec
+    assert IngestionSpec.from_json(DATA_DIR / "breast_cancer.spec.json") == spec
+    assert load_csv(DATA_DIR / "breast_cancer.csv", spec).schema.features == spec.columns
 
 
 # -- splitting ---------------------------------------------------------------

@@ -375,7 +375,9 @@ def test_data_errors_exit_3(ws, tmp_path):
     assert main(["train", "--data", ws["data"], "--spec", ws["spec"],
                  "--out", str(tmp_path / "m.json"), "--mtry", "0"]) == 3
     bad_spec = tmp_path / "bad_spec.json"
-    for feats in ([{"kind": "cat"}], [{"name": "c0"}], [7], 7):
+    for feats in ([{"kind": "cat"}], [{"name": "c0"}], [7], 7,
+                  [{"name": "c0", "kind": "cat", "vocabulary": "012"}],
+                  [{"name": "u0", "kind": "cont", "vocabulary": ["0", "1"]}]):
         bad_spec.write_text(json.dumps({"label": "class", "features": feats}))
         assert main(["train", "--data", ws["data"], "--spec", str(bad_spec),
                      "--out", str(tmp_path / "m.json")]) == 3, feats
@@ -440,6 +442,11 @@ def _model_with(ws, tmp_path, edit) -> str:
     pytest.param(lambda d: d["schema"]["features"][0].pop("controllable"), id="no-controllable"),
     pytest.param(lambda d: d["schema"]["features"].__setitem__(0, 7), id="entry-not-object"),
     pytest.param(lambda d: d["trees"][0]["left"].__setitem__(0, 10 ** 6), id="child-past-end"),
+    # feature 1 is categorical with vocabulary 0, 1, 2; feature 0 is continuous
+    pytest.param(lambda d: d["schema"]["features"][1].update(vocabulary="012"),
+                 id="string-vocabulary"),
+    pytest.param(lambda d: d["schema"]["features"][0].update(vocabulary=["0", "1"]),
+                 id="vocabulary-on-cont"),
 ])
 def test_bad_model_entry_exits_4(ws, tmp_path, edit):
     model = _model_with(ws, tmp_path, edit)
@@ -459,6 +466,13 @@ def test_bad_feature_weight_exits_3_in_a_spec_and_4_in_a_model(ws, tmp_path, cap
     assert _explain(ws, tmp_path / "o", "--instance", "0", "--method", "shap",
                     "--model", model) == 4
     assert "weight must be a finite number" in capsys.readouterr().err
+
+
+def test_model_without_norm_params_still_explains_a_row_index(ws, tmp_path):
+    # only a raw-values instance needs the scaling (see the "absent" case above)
+    model = _model_with(ws, tmp_path, lambda d: d.pop("norm_params"))
+    assert _explain(ws, tmp_path / "o", "--instance", "0", "--method", "shap",
+                    "--model", model) == 0
 
 
 def test_non_utf8_files_exit_with_their_document_code(ws, tmp_path, capsys):
@@ -485,6 +499,7 @@ def test_nan_leaves_exit_4(ws, tmp_path, capsys):
 
 @pytest.mark.parametrize("edit, message", [
     pytest.param(lambda p: p.pop(), "norm_params length", id="short"),
+    pytest.param(lambda p: p.clear(), "no norm_params", id="absent"),
     # feature 0 is continuous
     pytest.param(lambda p: p.__setitem__(0, [1.0, 1.0]), "degenerate normalization range",
                  id="degenerate"),

@@ -30,7 +30,7 @@ from cafa.pipeline import (
     resolve_pi,
     standard_shap,
 )
-from cafa.schema import Continuous, Dataset, Feature, FeatureSchema
+from cafa.schema import Dataset, Feature, FeatureSchema
 
 from .conftest import ProbModel, make_schema
 
@@ -345,16 +345,16 @@ def test_cafa_differs_from_controllable_only_retrain():
     y = ((u0 + 0.35 * c1) > np.median(u0 + 0.35 * c1)).astype(int)
 
     schema = FeatureSchema([
-        Feature("u0", Continuous(), False),
-        Feature("c0", Continuous(), True),
-        Feature("c1", Continuous(), True),
+        Feature("u0", "cont", False),
+        Feature("c0", "cont", True),
+        Feature("c1", "cont", True),
     ])
     data = Dataset.from_normalized(schema, X, y)
     f = train_forest(data, ForestParams(n_trees=60, max_depth=7, seed=0))
 
     schema_c = FeatureSchema([
-        Feature("c0", Continuous(), True),
-        Feature("c1", Continuous(), True),
+        Feature("c0", "cont", True),
+        Feature("c1", "cont", True),
     ])
     data_c = Dataset.from_normalized(schema_c, X[:, 1:], y)
     f_c = train_forest(data_c, ForestParams(n_trees=60, max_depth=7, seed=0))

@@ -9,11 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cafa.errors import IngestionError, InvalidInputError
+from cafa.errors import IngestionError, InvalidInputError, ModelFormatError
 from cafa.schema import (
-    Categorical,
-    ColumnSpec,
-    Continuous,
     Dataset,
     Feature,
     FeatureSchema,
@@ -33,16 +30,21 @@ from .conftest import make_schema
 # --- kinds and schema -------------------------------------------------------
 
 def test_categorical_validation():
-    assert Categorical(("a", "b")).size == 2
-    with pytest.raises(InvalidInputError):
-        Categorical(())
-    with pytest.raises(InvalidInputError):
-        Categorical(("a", "a"))
+    # vocabulary entries are stored as strings, as the CSV cells they match
+    assert Feature("g", "cat", True, vocabulary=["a", 2, 0.5]).vocabulary == ("a", "2", "0.5")
+    with pytest.raises(InvalidInputError, match="must be non-empty"):
+        Feature("g", "cat", True, vocabulary=())
+    with pytest.raises(InvalidInputError, match="duplicates"):
+        Feature("g", "cat", True, vocabulary=("a", "a"))
+    with pytest.raises(InvalidInputError, match="duplicates"):
+        Feature("g", "cat", True, vocabulary=(1, "1"))
+    with pytest.raises(InvalidInputError, match="kind must be 'cat' or 'cont'"):
+        Feature("g", "ordinal", True)
 
 
 def test_feature_weight_must_be_nonnegative():
     with pytest.raises(InvalidInputError):
-        Feature("f", Continuous(), True, weight=-0.5)
+        Feature("f", "cont", True, weight=-0.5)
 
 
 def test_schema_partition_and_validation():
@@ -54,9 +56,9 @@ def test_schema_partition_and_validation():
     with pytest.raises(InvalidInputError):
         FeatureSchema([])
     with pytest.raises(InvalidInputError):
-        FeatureSchema([Feature("x", Continuous(), True), Feature("x", Continuous(), True)])
+        FeatureSchema([Feature("x", "cont", True), Feature("x", "cont", True)])
     with pytest.raises(InvalidInputError):  # all-zero weights
-        FeatureSchema([Feature("x", Continuous(), True, weight=0.0)])
+        FeatureSchema([Feature("x", "cont", True, weight=0.0)])
 
 
 BAD_WEIGHTS = [True, "3", "nan", "inf", float("nan"), float("inf"), None, [1.0]]
@@ -65,7 +67,7 @@ BAD_WEIGHTS = [True, "3", "nan", "inf", float("nan"), float("inf"), None, [1.0]]
 @pytest.mark.parametrize("weight", BAD_WEIGHTS, ids=repr)
 def test_feature_weight_must_be_a_finite_number(weight):
     with pytest.raises(InvalidInputError, match="weight must be a finite number"):
-        Feature("f", Continuous(), True, weight=weight)
+        Feature("f", "cont", True, weight=weight)
     entry = {"name": "f", "kind": "cont", "controllable": True, "weight": weight}
     with pytest.raises(IngestionError, match="weight must be a finite number"):
         IngestionSpec.from_dict({"label": "class", "features": [entry]})
@@ -75,15 +77,19 @@ def test_feature_weight_must_be_a_finite_number(weight):
 
 def test_feature_entry_codec_round_trips():
     schema = make_schema(["cont", 4], controllable=[False, True], weights=[2.5, 0.0])
-    cols = [ColumnSpec.from_feature(f) for f in schema.features]
-    assert [ColumnSpec.from_dict(c.to_dict()) for c in cols] == cols
-    assert tuple(c.to_feature() for c in cols) == schema.features
-    assert cols[1].to_dict() == {"name": "f1", "kind": "cat", "controllable": True,
-                                 "weight": 0.0, "vocabulary": ["0", "1", "2", "3"]}
-    # an open vocabulary takes the categories found in the data
-    assert ColumnSpec("g", "cat", True).to_feature(("lo", "hi")).kind == Categorical(("lo", "hi"))
+    assert tuple(Feature.from_dict(f.to_dict()) for f in schema.features) == schema.features
+    assert schema.features[0].to_dict() == {"name": "f0", "kind": "cont", "controllable": False,
+                                            "weight": 2.5}
+    assert schema.features[1].to_dict() == {"name": "f1", "kind": "cat", "controllable": True,
+                                            "weight": 0.0, "vocabulary": ["0", "1", "2", "3"]}
+    # a spec may leave a vocabulary open for the data to fill; a schema may not
+    open_entry = {"name": "g", "kind": "cat", "controllable": True}
+    assert IngestionSpec.from_dict({"label": "class", "features": [open_entry]}).to_dict() == {
+        "label": "class", "features": [{**open_entry, "weight": 1.0}]}
     with pytest.raises(InvalidInputError, match="needs a vocabulary"):
-        ColumnSpec("g", "cat", True).to_feature()
+        FeatureSchema([Feature("g", "cat", True)])
+    with pytest.raises(InvalidInputError, match="needs a vocabulary"):
+        FeatureSchema.from_dict({"features": [open_entry]})
 
 
 def test_only_a_spec_defaults_the_controllable_flag():
@@ -99,6 +105,24 @@ def test_a_feature_entry_must_be_an_object(entry):
     with pytest.raises(IngestionError, match="must be a JSON object"):
         IngestionSpec.from_dict({"label": "class", "features": [entry]})
     with pytest.raises(InvalidInputError, match="must be a JSON object"):
+        FeatureSchema.from_dict({"features": [entry]})
+
+
+@pytest.mark.parametrize("kind, vocabulary", [
+    ("cat", "lo"),  # a string is not split into its characters
+    ("cat", {"lo": 0}),
+    ("cat", 3),
+    ("cat", [["lo"], "hi"]),
+    ("cat", [True, False]),
+    ("cat", [None]),
+    ("cont", ["lo", "hi"]),  # a continuous feature has no categories to close
+    ("cont", []),
+], ids=repr)
+def test_a_feature_entry_vocabulary_must_be_a_list_on_a_cat_entry(kind, vocabulary):
+    entry = {"name": "g", "kind": kind, "controllable": True, "vocabulary": vocabulary}
+    with pytest.raises(IngestionError, match="vocabulary"):
+        IngestionSpec.from_dict({"label": "class", "features": [entry]})
+    with pytest.raises(InvalidInputError, match="vocabulary"):
         FeatureSchema.from_dict({"features": [entry]})
 
 
@@ -159,6 +183,15 @@ def test_encode_instance():
         encode_instance(schema, params, {"size": 20.0})
     with pytest.raises(InvalidInputError):
         encode_instance(schema, params, {"size": 20.0, "grade": "9"})
+
+
+def test_encode_instance_without_norm_params_is_a_model_error():
+    # a model file may omit norm_params; it then cannot scale a raw continuous value
+    schema = make_schema(["cont", 3], names=["size", "grade"])
+    with pytest.raises(ModelFormatError, match="'size': the model has no norm_params"):
+        encode_instance(schema, None, {"size": 20.0, "grade": "2"})
+    cat_only = make_schema([3], names=["grade"])
+    assert list(encode_instance(cat_only, None, {"grade": "2"})) == [2.0]
 
 
 # --- Dataset ----------------------------------------------------------------
@@ -231,7 +264,7 @@ def test_single_column_file_errors():
 
 def test_min_max_scaling_forced(tmp_path):
     p = _write(tmp_path, "v,class\n2,a\n4,b\n6,a\n")
-    spec = IngestionSpec(label="class", columns=(ColumnSpec("v", "cont", True),))
+    spec = IngestionSpec(label="class", columns=(Feature("v", "cont", True),))
     data = load_csv(p, spec)
     assert list(data.X[:, 0]) == [0.0, 0.5, 1.0]
     assert data.norm_params[0] == (2.0, 6.0)
@@ -239,14 +272,14 @@ def test_min_max_scaling_forced(tmp_path):
 
 def test_malformed_row_names_line(tmp_path):
     p = _write(tmp_path, "v,class\n1,a\n2,b,EXTRA\n")
-    spec = IngestionSpec(label="class", columns=(ColumnSpec("v", "cont", True),))
+    spec = IngestionSpec(label="class", columns=(Feature("v", "cont", True),))
     with pytest.raises(IngestionError, match="row 3"):
         load_csv(p, spec)
 
 
 def test_unparseable_cell_names_line(tmp_path):
     p = _write(tmp_path, "v,class\n1,a\nxyz,b\n")
-    spec = IngestionSpec(label="class", columns=(ColumnSpec("v", "cont", True),))
+    spec = IngestionSpec(label="class", columns=(Feature("v", "cont", True),))
     with pytest.raises(IngestionError, match="row 3"):
         load_csv(p, spec)
 
@@ -254,7 +287,7 @@ def test_unparseable_cell_names_line(tmp_path):
 def test_unknown_closed_category(tmp_path):
     p = _write(tmp_path, "g,class\nlo,a\nwat,b\n")
     spec = IngestionSpec(
-        label="class", columns=(ColumnSpec("g", "cat", True, vocabulary=("lo", "hi")),)
+        label="class", columns=(Feature("g", "cat", True, vocabulary=("lo", "hi")),)
     )
     with pytest.raises(IngestionError, match="unknown category"):
         load_csv(p, spec)
@@ -262,13 +295,13 @@ def test_unknown_closed_category(tmp_path):
 
 def test_constant_continuous_column(tmp_path):
     p = _write(tmp_path, "v,class\n3,a\n3,b\n")
-    spec = IngestionSpec(label="class", columns=(ColumnSpec("v", "cont", True),))
+    spec = IngestionSpec(label="class", columns=(Feature("v", "cont", True),))
     with pytest.raises(IngestionError, match="constant"):
         load_csv(p, spec)
 
 
 def test_missing_column_and_file(tmp_path):
-    spec = IngestionSpec(label="class", columns=(ColumnSpec("v", "cont", True),))
+    spec = IngestionSpec(label="class", columns=(Feature("v", "cont", True),))
     p = _write(tmp_path, "other,class\n1,a\n2,b\n")
     with pytest.raises(IngestionError, match="'v'"):
         load_csv(p, spec)
@@ -281,7 +314,7 @@ def test_missing_column_and_file(tmp_path):
 def test_non_utf8_data_file_is_a_data_error(tmp_path):
     p = tmp_path / "latin1.csv"
     p.write_bytes("v,class\n1,caf\xe9\n2,b\n".encode("latin-1"))
-    spec = IngestionSpec(label="class", columns=(ColumnSpec("v", "cont", True),))
+    spec = IngestionSpec(label="class", columns=(Feature("v", "cont", True),))
     with pytest.raises(IngestionError, match="not UTF-8"):
         load_csv(p, spec)
 
@@ -290,11 +323,11 @@ def test_missing_cells_imputed(tmp_path):
     p = _write(tmp_path, "g,v,class\nlo,1,a\n?,?,b\nlo,3,a\nhi,5,b\n")
     spec = IngestionSpec(
         label="class",
-        columns=(ColumnSpec("g", "cat", True), ColumnSpec("v", "cont", True)),
+        columns=(Feature("g", "cat", True), Feature("v", "cont", True)),
     )
     data = load_csv(p, spec)
     # mode of g is "lo" (2 of 3 known); median of v is 3
-    g = data.schema.features[0].kind.vocabulary
+    g = data.schema.features[0].vocabulary
     assert g == ("hi", "lo")
     assert data.X[1, 0] == g.index("lo")
     assert data.X[1, 1] == (3.0 - 1.0) / (5.0 - 1.0)
@@ -302,7 +335,7 @@ def test_missing_cells_imputed(tmp_path):
 
 def test_label_mapping_is_sorted(tmp_path):
     p = _write(tmp_path, "v,class\n1,10\n2,9\n3,10\n")
-    spec = IngestionSpec(label="class", columns=(ColumnSpec("v", "cont", True),))
+    spec = IngestionSpec(label="class", columns=(Feature("v", "cont", True),))
     data = load_csv(p, spec)
     assert data.label_values == ("9", "10")  # numeric sort, not lexical
     assert list(data.y) == [1, 0, 1]
@@ -338,7 +371,7 @@ def test_random_well_formed_files_satisfy_schema(data):
                 w.writerow([cols[j][i] for j in range(n_cols)] + [labels[i]])
         spec = IngestionSpec(
             label="class",
-            columns=tuple(ColumnSpec(f"c{j}", kinds[j], True) for j in range(n_cols)),
+            columns=tuple(Feature(f"c{j}", kinds[j], True) for j in range(n_cols)),
         )
         loaded = load_csv(p, spec)
     assert loaded.n_rows == n_rows
