@@ -132,8 +132,6 @@ def _load_data_and_model(args):
     """The dataset named by ``--data``/``--spec`` and the ``--model`` trained on its schema."""
     data = load_csv(args.data, IngestionSpec.from_json(args.spec))
     model = RandomForest.load(args.model)
-    if model.schema is None:
-        raise UsageError("model file carries no schema; retrain with this toolkit")
     if tuple(model.schema.names) != tuple(data.schema.names):
         raise UsageError(
             "model schema does not match the dataset "

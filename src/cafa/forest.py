@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ModelFormatError, TrainingError
-from .schema import Dataset, FeatureSchema, read_json
+from .schema import Dataset, FeatureSchema, read_json, string_list
 
 
 @dataclass(frozen=True)
@@ -471,11 +471,15 @@ class RandomForest:
             ) or None
             if norm_params is not None:
                 schema.check_norm_params(norm_params)
-            label_values = tuple(doc["label_values"]) if doc.get("label_values") else None
+            label_values = doc.get("label_values")
+            if label_values is not None:
+                label_values = string_list(label_values, "label_values")
         except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
             raise ModelFormatError(f"malformed model document: {exc}") from None
         if n_classes < 2:
             raise ModelFormatError(f"model needs n_classes >= 2, got {n_classes}")
+        if label_values is not None and len(label_values) < n_classes:
+            raise ModelFormatError(f"label_values names {len(label_values)} of {n_classes} classes")
         if not trees:
             raise ModelFormatError("model has no trees")
         for tree in trees:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .distance import delta_to_rows
 from .errors import InvalidInputError, NeighborhoodImbalanceError
-from .normal import ndtr, ndtri
 from .schema import Dataset, FeatureSchema, validate_instance
 
 # Standard deviation of the truncated Gaussian that perturbs a continuous feature.
@@ -38,17 +37,23 @@ class NeighborhoodSample:
 
 
 def perturb_batch(x, schema: FeatureSchema, rng, n: int):
-    """Draw ``n`` candidates around ``x`` varying only controllable features."""
-    out = np.tile(np.asarray(x, dtype=np.float64), (n, 1))
+    """Draw ``n`` candidates around ``x`` varying only controllable features.
+
+    ``x`` must be a normalized instance of ``schema`` (:func:`validate_instance`).
+    """
+    x = validate_instance(schema, x)
+    out = np.tile(x, (n, 1))
     for j in schema.controllable_idx:
         if schema.is_categorical[j]:
             out[:, j] = rng.integers(0, schema.vocab_sizes[j], size=n)
         else:
-            mu = x[j]
-            lo = ndtr((0.0 - mu) / SIGMA)
-            hi = ndtr((1.0 - mu) / SIGMA)
-            u = rng.random(n)
-            out[:, j] = np.clip(mu + SIGMA * ndtri(lo + u * (hi - lo)), 0.0, 1.0)
+            # Rejection: with x[j] in [0, 1], a draw lands in [0, 1] with p >= 0.4999.
+            v = rng.normal(x[j], SIGMA, n)
+            bad = np.flatnonzero((v < 0.0) | (v > 1.0))
+            while bad.size:
+                v[bad] = rng.normal(x[j], SIGMA, bad.size)
+                bad = bad[(v[bad] < 0.0) | (v[bad] > 1.0)]
+            out[:, j] = v
     return out
 
 

@@ -24,6 +24,20 @@ from .errors import CafaError, IngestionError, InvalidInputError, ModelFormatErr
 MISSING_CELL = "?"
 
 
+def string_list(values, what: str) -> tuple[str, ...]:
+    """A non-empty JSON list of distinct strings or numbers, read as strings."""
+    if not isinstance(values, (list, tuple)) or not all(
+        isinstance(v, (str, numbers.Real)) and not isinstance(v, bool) for v in values
+    ):
+        raise InvalidInputError(f"{what} must be a list of strings or numbers, got {values!r}")
+    values = tuple(str(v) for v in values)
+    if not values:
+        raise InvalidInputError(f"{what} must be non-empty")
+    if len(set(values)) != len(values):
+        raise InvalidInputError(f"{what} contains duplicates")
+    return values
+
+
 @dataclass(frozen=True)
 class Feature:
     """One feature column: a schema feature, and the codec for one feature
@@ -42,6 +56,8 @@ class Feature:
     vocabulary: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise InvalidInputError(f"feature name must be a string, got {self.name!r}")
         if self.kind not in ("cat", "cont"):
             raise InvalidInputError(f"feature {self.name!r}: kind must be 'cat' or 'cont'")
         w = self.weight
@@ -50,22 +66,12 @@ class Feature:
                 f"feature {self.name!r}: weight must be a finite number >= 0, got {w!r}"
             )
         object.__setattr__(self, "weight", float(w))
-        vocab = self.vocabulary
-        if vocab is None:
+        if self.vocabulary is None:
             return
         if self.kind == "cont":
             raise InvalidInputError(f"feature {self.name!r}: a 'cont' feature takes no vocabulary")
-        if not isinstance(vocab, (list, tuple)) or not all(
-            isinstance(v, (str, numbers.Real)) and not isinstance(v, bool) for v in vocab
-        ):
-            raise InvalidInputError(f"feature {self.name!r}: vocabulary must be a list of "
-                                    f"strings or numbers, got {vocab!r}")
-        vocab = tuple(str(v) for v in vocab)
-        if not vocab:
-            raise InvalidInputError(f"feature {self.name!r}: vocabulary must be non-empty")
-        if len(set(vocab)) != len(vocab):
-            raise InvalidInputError(f"feature {self.name!r}: vocabulary contains duplicates")
-        object.__setattr__(self, "vocabulary", vocab)
+        object.__setattr__(self, "vocabulary",
+                           string_list(self.vocabulary, f"feature {self.name!r}: vocabulary"))
 
     @property
     def is_categorical(self) -> bool:

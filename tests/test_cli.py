@@ -366,7 +366,7 @@ def test_negative_seed_exit_2(ws, tmp_path, capsys):
         assert "--seed must be >= 0" in capsys.readouterr().err
 
 
-def test_data_errors_exit_3(ws, tmp_path):
+def test_data_errors_exit_3(ws, tmp_path, capsys):
     out = str(tmp_path / "o")
     assert main(["explain", "--data", str(tmp_path / "missing.csv"), "--spec", ws["spec"],
                  "--model", ws["model"], "--out-dir", out, "--instance", "0"]) == 3
@@ -377,10 +377,12 @@ def test_data_errors_exit_3(ws, tmp_path):
     bad_spec = tmp_path / "bad_spec.json"
     for feats in ([{"kind": "cat"}], [{"name": "c0"}], [7], 7,
                   [{"name": "c0", "kind": "cat", "vocabulary": "012"}],
-                  [{"name": "u0", "kind": "cont", "vocabulary": ["0", "1"]}]):
+                  [{"name": "u0", "kind": "cont", "vocabulary": ["0", "1"]}],
+                  [{"name": 5, "kind": "cont"}]):
         bad_spec.write_text(json.dumps({"label": "class", "features": feats}))
         assert main(["train", "--data", ws["data"], "--spec", str(bad_spec),
                      "--out", str(tmp_path / "m.json")]) == 3, feats
+    assert "feature name must be a string" in capsys.readouterr().err
 
 
 def test_string_controllable_flag_exits_3_and_4(ws, tmp_path, capsys):
@@ -447,6 +449,10 @@ def _model_with(ws, tmp_path, edit) -> str:
                  id="string-vocabulary"),
     pytest.param(lambda d: d["schema"]["features"][0].update(vocabulary=["0", "1"]),
                  id="vocabulary-on-cont"),
+    pytest.param(lambda d: d["schema"]["features"][0].update(name=5), id="name-not-string"),
+    # the model has two classes
+    pytest.param(lambda d: d.update(label_values="01"), id="labels-string"),
+    pytest.param(lambda d: d.update(label_values=["0"]), id="labels-too-few"),
 ])
 def test_bad_model_entry_exits_4(ws, tmp_path, edit):
     model = _model_with(ws, tmp_path, edit)

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chisquare
+from scipy.stats import chisquare, kstest, truncnorm
 
 from cafa.bench import lung_preset
 from cafa.distance import delta, delta_to_rows, estimate_proximity
 from cafa.errors import InvalidInputError, NeighborhoodImbalanceError
 from cafa.forest import ForestParams, train_forest
-from cafa.sampler import generate_neighborhood, perturb_batch
+from cafa.sampler import SIGMA, generate_neighborhood, perturb_batch
 from cafa.schema import FeatureSchema
 
 from .conftest import ProbModel, make_schema, random_instance
@@ -71,6 +71,20 @@ def test_continuous_proposal_stays_near_query():
     assert draws.min() >= 0.0 and draws.max() <= 1.0
     assert abs(draws.mean() - 0.5) < 0.02  # symmetric truncation around 0.5
     assert 0.2 < draws.std() < 0.3
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.1, 0.5, 0.9, 1.0])
+def test_continuous_proposal_is_the_truncated_gaussian(mu):
+    schema = make_schema(["cont"])
+    draws = perturb_batch(np.array([mu]), schema, np.random.default_rng(17), 20_000)[:, 0]
+    ref = truncnorm(-mu / SIGMA, (1.0 - mu) / SIGMA, loc=mu, scale=SIGMA)
+    assert kstest(draws, ref.cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("value", [-0.5, 1.5, 5.0])
+def test_perturb_batch_rejects_a_continuous_value_outside_the_unit_interval(value):
+    with pytest.raises(InvalidInputError, match="outside"):
+        perturb_batch(np.array([value]), make_schema(["cont"]), np.random.default_rng(0), 8)
 
 
 def test_linear_boundary_neighborhood_contract():
@@ -196,15 +210,28 @@ def test_random_configurations_satisfy_invariants():
 
 
 def test_seeded_lung_neighborhood_is_bit_identical():
-    # sha256 of the rows and labels, computed while scipy was imported at
-    # module load; lung perturbs five continuous controllable features
+    # sha256 of the rows and labels; lung perturbs five continuous controllable
+    # features, so this pins the truncated Gaussian's rejection stream
     data = lung_preset(seed=0)
     model = train_forest(data, ForestParams(n_trees=4, seed=2))
     nb = generate_neighborhood(data.X[7], model, data.schema,
                                pi=estimate_proximity(data, seed=0), k=40, seed=11)
     digest = hashlib.sha256(nb.data.X.tobytes() + nb.data.y.tobytes()).hexdigest()
-    assert digest == "f1706ab61f339f864ef515084fce372781c0a82c5b4228cf0ec76dd420d54789"
+    assert digest == "4f69aa003042cb6121781fc288a412d1a1d49b68a96af1fa7dd965b08c7d0603"
 
+
+def _exits_without_scipy(script):
+    import cafa
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cafa.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, root]))
+    proc = subprocess.run([sys.executable, "-c", script + _NO_SCIPY],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+_NO_SCIPY = 'sys.exit("scipy was imported" if "scipy" in sys.modules else 0)\n'
 
 _CATEGORICAL_NEIGHBORHOOD = textwrap.dedent("""
     import sys
@@ -215,20 +242,11 @@ _CATEGORICAL_NEIGHBORHOOD = textwrap.dedent("""
     schema = make_schema([3, 4, 2], controllable=[True, True, False])
     f = ProbModel(lambda X: (X[:, 0] + X[:, 1] > 2).astype(float))
     generate_neighborhood(np.array([1.0, 1.0, 0.0]), f, schema, pi=1.0, k=10, seed=0)
-    sys.exit("scipy was imported" if "scipy" in sys.modules else 0)
 """)
 
 
 def test_categorical_neighborhood_does_not_import_scipy():
-    # only a continuous controllable feature needs scipy's normal cdf
-    import cafa
-
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cafa.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, root]))
-    proc = subprocess.run([sys.executable, "-c", _CATEGORICAL_NEIGHBORHOOD],
-                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    _exits_without_scipy(_CATEGORICAL_NEIGHBORHOOD)
 
 
 _LUNG_EXPLANATION = textwrap.dedent("""
@@ -243,17 +261,9 @@ _LUNG_EXPLANATION = textwrap.dedent("""
     cfg = CafaConfig(k=30, background_size=20, seed=1,
                      surrogate_params=ForestParams(n_trees=5, max_depth=4))
     cafa_local(data.X[7], model, data.schema, cfg, data=data)
-    sys.exit("scipy was imported" if "scipy" in sys.modules else 0)
 """)
 
 
 def test_continuous_explanation_does_not_import_scipy():
-    # the truncated Gaussian's normal cdf and quantile are cafa.normal's
-    import cafa
-
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cafa.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, root]))
-    proc = subprocess.run([sys.executable, "-c", _LUNG_EXPLANATION],
-                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    # the truncated Gaussian is drawn by rejection from numpy's normal generator
+    _exits_without_scipy(_LUNG_EXPLANATION)
