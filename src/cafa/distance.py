@@ -17,23 +17,30 @@ from .errors import InvalidInputError
 from .schema import Dataset, FeatureSchema, validate_instance
 
 
+# Sampled pairs ``estimate_proximity`` scores at once. With this chunk one
+# call peaks at 0.55 MiB on the covid training split and 0.70 MiB on lung
+# (tracemalloc), against 2.2 and 3.7 MiB for all 10,000 pairs at once.
+_PAIR_CHUNK = 1024
+
+
 def _weighted_sum(A: np.ndarray, B: np.ndarray, schema: FeatureSchema, pairs=None) -> np.ndarray:
     """Weighted per-feature distance sum between the rows of ``A`` and ``B``.
 
     ``B`` is one instance (broadcast against every row) or a row matrix
     paired row by row with ``A``. ``pairs``, an ``(ia, ib)`` pair of row
     index arrays, pairs row ``ia[p]`` of ``A`` with row ``ib[p]`` of ``B``
-    instead; the rows are gathered one column group at a time, so the paired
-    rows are never copied whole.
+    instead; only those rows' cells of each column group are gathered. The
+    gathered blocks are row-major: BLAS rounds the weighted sums of a
+    column-major block differently in the last bit.
     """
     cat = schema.is_categorical
     w = schema.weights
-    ia, ib = pairs if pairs is not None else (slice(None), Ellipsis)
-    acc = np.zeros(A.shape[0] if pairs is None else len(ia), dtype=np.float64)
+    ia, ib = (Ellipsis, Ellipsis) if pairs is None else (p[:, None] for p in pairs)
+    acc = np.zeros(A.shape[0] if pairs is None else len(pairs[0]), dtype=np.float64)
     if cat.any():
-        acc += (A[:, cat][ia] != B[..., cat][ib]).astype(np.float64) @ w[cat]
+        acc += (A[ia, cat] != B[ib, cat]).astype(np.float64) @ w[cat]
     if (~cat).any():
-        acc += np.abs(A[:, ~cat][ia] - B[..., ~cat][ib]) @ w[~cat]
+        acc += np.abs(A[ia, ~cat] - B[ib, ~cat]) @ w[~cat]
     return acc
 
 
@@ -60,7 +67,8 @@ def estimate_proximity(data: Dataset, n_pairs: int = 10_000, seed: int = 0) -> f
     """Average pairwise distance over the dataset.
 
     All C(n, 2) pairs are used when that count fits inside ``n_pairs``;
-    otherwise ``n_pairs`` pairs are sampled uniformly (seeded).
+    otherwise ``n_pairs`` pairs are sampled uniformly (seeded) and scored
+    ``_PAIR_CHUNK`` at a time, gathering only each chunk's rows.
     """
     schema = data.schema
     n = data.n_rows
@@ -84,4 +92,8 @@ def estimate_proximity(data: Dataset, n_pairs: int = 10_000, seed: int = 0) -> f
     while clash.any():
         j[clash] = rng.integers(0, n, size=int(clash.sum()))
         clash = i == j
-    return float(_weighted_sum(X, X, schema, pairs=(i, j)).mean() / schema.weights.sum())
+    dist = np.empty(n_pairs, dtype=np.float64)
+    for lo in range(0, n_pairs, _PAIR_CHUNK):
+        hi = lo + _PAIR_CHUNK
+        dist[lo:hi] = _weighted_sum(X, X, schema, pairs=(i[lo:hi], j[lo:hi]))
+    return float(dist.mean() / schema.weights.sum())

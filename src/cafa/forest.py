@@ -56,11 +56,11 @@ _WALK_BYTES = 64 * 1024
 
 
 @functools.lru_cache(maxsize=None)
-def _node_dtype(n_classes: int, index: type, value: type) -> np.dtype:
+def _node_dtype(n_classes: int, index: type, value: type, threshold: type) -> np.dtype:
     """Record of one tree node: its split test, children and class values."""
     return np.dtype([
         ("feature", index), ("left", index), ("right", index), ("is_cat", np.bool_),
-        ("threshold", np.float64), ("value", value, (n_classes,)),
+        ("threshold", threshold), ("value", value, (n_classes,)),
     ])
 
 
@@ -82,18 +82,34 @@ def _narrowest(top: int, types) -> type:
     raise ValueError(f"{top} is out of range")
 
 
+def _threshold_type(threshold: np.ndarray) -> type:
+    """uint8 or uint16 if it holds every float64 ``threshold`` with the same
+    bits, else float64: a ``-0.0`` or a fraction keeps the table float64."""
+    if (threshold >= 0).all() and (threshold <= np.iinfo(np.uint16).max).all():
+        narrow = _narrowest(int(threshold.max()), (np.uint8, np.uint16))
+        back = threshold.astype(narrow).astype(np.float64)
+        if np.array_equal(back.view(np.uint64), threshold.view(np.uint64)):
+            return narrow
+    return np.float64
+
+
 def _records(feature, is_cat, threshold, left, right, value, top: int) -> np.ndarray:
     """The nodes as one read-only record array.
 
     ``value`` holds class probabilities (floats) or class counts, which
-    take the narrowest unsigned type that holds them. Indices are int16
-    when ``top``, the largest node or feature index, fits, else int32.
+    take the narrowest unsigned type that holds them. Thresholds take
+    uint8 or uint16 when every one of them is a category code that fits
+    (as in a forest that splits only on categorical features), else
+    float64. Indices are int16 when ``top``, the largest node or feature
+    index, fits, else int32.
     """
     value_type = np.float64
     if value.dtype.kind != "f":
         value_type = _narrowest(value.max(), (np.uint8, np.uint16, np.uint32, np.uint64))
+    threshold = np.asarray(threshold, dtype=np.float64)
     index = _narrowest(top, (np.int16, np.int32))
-    nodes = np.empty(len(feature), dtype=_node_dtype(value.shape[1], index, value_type))
+    dtype = _node_dtype(value.shape[1], index, value_type, _threshold_type(threshold))
+    nodes = np.empty(len(feature), dtype=dtype)
     for name, field in (("feature", feature), ("left", left), ("right", right),
                         ("is_cat", is_cat), ("threshold", threshold), ("value", value)):
         nodes[name] = field
@@ -108,7 +124,9 @@ class Tree:
     ``is_cat``, ``threshold``, ``left`` and ``right`` children, and its
     class ``value``s. Leaves point to themselves so batch traversal can run
     a fixed number of steps. Indices are int16 when the node count and every
-    feature index fit, else int32.
+    feature index fit, else int32. Thresholds are uint8 (or uint16) when
+    every one is a category code in range, as in a tree that splits only on
+    categorical features, else float64; ``to_dict`` writes them as floats.
 
     A tree is given either every node's class probabilities, ``leaf_prob``,
     or the class counts of the training rows that reached it, ``counts``.
@@ -178,7 +196,7 @@ class Tree:
         return {
             "feature": self.feature.tolist(),
             "is_cat": self.is_cat.astype(int).tolist(),
-            "threshold": self.threshold.tolist(),
+            "threshold": self.threshold.astype(np.float64).tolist(),
             "left": self.left.tolist(),
             "right": self.right.tolist(),
             "leaf_prob": self.leaf_prob.tolist(),
@@ -369,7 +387,9 @@ class RandomForest:
     """
 
     # Every result keeps its surrogate alive, so a forest holds three arrays
-    # and no per-instance dict.
+    # and no per-instance dict. A covid-local surrogate's node takes 10
+    # bytes: int16 feature and children, the flag, a uint8 threshold and two
+    # uint8 class counts (17 with a float64 threshold).
     __slots__ = ("nodes", "starts", "depths", "params", "schema", "n_classes",
                  "norm_params", "label_values")
 

@@ -190,21 +190,17 @@ def validate_instance(schema: FeatureSchema, values) -> np.ndarray:
         )
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("instance contains non-finite values")
-    x = x.copy()
-    for i, f in enumerate(schema.features):
-        v = x[i]
+    cat = schema.is_categorical
+    bad = np.where(cat, (x != np.round(x)) | (x < 0) | (x >= schema.vocab_sizes),
+                   (x < -1e-9) | (x > 1 + 1e-9))
+    if bad.any():
+        i = int(bad.argmax())
+        f, v = schema.features[i], x[i]
         if f.is_categorical:
-            if v != round(v) or not (0 <= v < len(f.vocabulary)):
-                raise InvalidInputError(
-                    f"feature {f.name!r}: {v} is not a valid category code"
-                )
-        else:
-            if v < -1e-9 or v > 1 + 1e-9:
-                raise InvalidInputError(
-                    f"feature {f.name!r}: {v} outside [0, 1]"
-                )
-            x[i] = min(max(v, 0.0), 1.0)
-    return x
+            raise InvalidInputError(f"feature {f.name!r}: {v} is not a valid category code")
+        raise InvalidInputError(f"feature {f.name!r}: {v} outside [0, 1]")
+    # min(max(v, 0), 1) on continuous entries, keeping a -0.0 as it is.
+    return np.where(cat, x, np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x)))
 
 
 @dataclass(frozen=True)

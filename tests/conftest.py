@@ -1,5 +1,6 @@
-"""Shared helpers: small schemas, model fakes, stump trees, random instances, a coalition-value reference."""
+"""Shared helpers: small schemas, model fakes, stump trees, random instances, a coalition-value reference, a memory-peak probe."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,18 @@ def make_schema(kinds, controllable=None, weights=None, names=None):
             )
         )
     return FeatureSchema(feats)
+
+
+def peak_bytes(fn, *args):
+    """tracemalloc peak of ``fn(*args)``, run once beforehand so one-time
+    allocations stay out of it."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_instance(schema, rng):

@@ -1,15 +1,19 @@
 """Mixed-type distance and proximity estimation."""
 
+import functools
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cafa.distance import delta, delta_to_rows, estimate_proximity
+from cafa.bench import covid_preset, lung_preset, train_test_split
+from cafa.distance import _PAIR_CHUNK, delta, delta_to_rows, estimate_proximity
 from cafa.errors import InvalidInputError
 from cafa.schema import Dataset
 
-from .conftest import make_schema, random_instance, random_rows
+from .conftest import make_schema, peak_bytes, random_instance, random_rows
 
 MIXED = make_schema(
     ["cont", 6, "cont", 3, "cont"],
@@ -121,3 +125,57 @@ def test_estimate_proximity_sampled_close_to_brute_force():
     sampled = estimate_proximity(data, n_pairs=10_000, seed=0)
     assert abs(sampled - brute) <= 0.02
     assert estimate_proximity(data, n_pairs=10_000, seed=0) == sampled  # seeded
+
+
+@functools.lru_cache(maxsize=None)
+def _training_split(preset):
+    """The training part the benchmark explains covid and lung rows against."""
+    return train_test_split(preset(seed=0), 0.3, seed=0)[0]
+
+
+SPLITS = {
+    "covid": lambda breast: _training_split(covid_preset),
+    "lung": lambda breast: _training_split(lung_preset),
+    "breast": lambda breast: breast,
+}
+
+
+def sampled_proximity_reference(data, n_pairs, seed):
+    """The sampled estimate with every pair scored at once: both column
+    groups of all pairs gathered whole, then one mean."""
+    X, w, cat = data.X, data.schema.weights, data.schema.is_categorical
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, data.n_rows, size=n_pairs)
+    j = rng.integers(0, data.n_rows, size=n_pairs)
+    clash = i == j
+    while clash.any():
+        j[clash] = rng.integers(0, data.n_rows, size=int(clash.sum()))
+        clash = i == j
+    acc = np.zeros(n_pairs)
+    if cat.any():
+        acc += (X[:, cat][i] != X[:, cat][j]).astype(np.float64) @ w[cat]
+    if (~cat).any():
+        acc += np.abs(X[:, ~cat][i] - X[:, ~cat][j]) @ w[~cat]
+    return float(acc.mean() / w.sum())
+
+
+@pytest.mark.parametrize("n_pairs", [1, _PAIR_CHUNK - 1, _PAIR_CHUNK, _PAIR_CHUNK + 1,
+                                     10_000, 50_000])
+@pytest.mark.parametrize("name", sorted(SPLITS))
+def test_sampled_proximity_equals_the_unchunked_reference(name, n_pairs, breast_data):
+    data = SPLITS[name](breast_data)
+    if comb(data.n_rows, 2) <= n_pairs:
+        # breast's 286 rows make 40,755 pairs, so every pair is scored
+        assert (name, n_pairs) == ("breast", 50_000)
+        assert estimate_proximity(data, n_pairs=n_pairs) == estimate_proximity(data, 10**9)
+        return
+    for seed in range(6):
+        got = estimate_proximity(data, n_pairs=n_pairs, seed=seed)
+        assert got.hex() == sampled_proximity_reference(data, n_pairs, seed).hex()
+
+
+@pytest.mark.parametrize("name", ["covid", "lung"])
+def test_sampled_proximity_peak_memory(name):
+    # scoring all 10,000 pairs at once peaked at 2.2 MiB (covid) and 3.7 MiB
+    # (lung), mostly the gathered column groups
+    assert peak_bytes(estimate_proximity, SPLITS[name](None)) <= 2**20

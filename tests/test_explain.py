@@ -2,7 +2,6 @@
 
 import json
 import math
-import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -22,7 +21,7 @@ from cafa.explain import (
 )
 from cafa.forest import ForestParams, RandomForest, Tree, train_forest
 
-from .conftest import ProbModel, coalition_value, make_schema, random_rows, stump
+from .conftest import ProbModel, coalition_value, make_schema, peak_bytes, random_rows, stump
 
 
 def shapley_brute(f, x, bg, m):
@@ -51,16 +50,6 @@ def _forest_on_m_features(m, seed):
     spec = SynthSpec(m_controllable=m, m_uncontrollable=0, n_rows=250, seed=seed)
     data = generate_synth(spec)
     return train_forest(data, ForestParams(n_trees=15, max_depth=5, seed=seed)), data
-
-
-def _peak_bytes(fn, *args):
-    fn(*args)  # leave one-time allocations out of the peak
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 # --- coalition values -------------------------------------------------------
@@ -308,7 +297,7 @@ def test_coalition_chunks_are_byte_bounded():
     f = ProbModel(lambda X: 0.5 + 0.01 * X[:, :10].sum(axis=1))
     x = rng.random(70)
     bg = Background(rng.random((50, 70)))
-    assert _peak_bytes(shapley_mc, f, x, bg, 200) <= 16 * 2**20
+    assert peak_bytes(shapley_mc, f, x, bg, 200) <= 16 * 2**20
 
 
 def test_signed_zero_counts_as_a_different_value():
@@ -568,9 +557,9 @@ def test_tree_path_peak_memory():
     data = covid_preset(seed=0)
     _, nb = train_test_split(data, 200 / data.n_rows, seed=0)
     surrogate = train_forest(nb, ForestParams(n_trees=100, max_depth=8, seed=0))
-    assert _peak_bytes(shapley_forest, surrogate, nb.X, Background.from_dataset(nb, 60)) <= bound
+    assert peak_bytes(shapley_forest, surrogate, nb.X, Background.from_dataset(nb, 60)) <= bound
     deep, data = _deep_forest()
-    assert _peak_bytes(shapley_forest, deep, data.X[:100], Background(data.X[100:150])) <= bound
+    assert peak_bytes(shapley_forest, deep, data.X[:100], Background(data.X[100:150])) <= bound
 
 
 # --- LIME-style baseline ----------------------------------------------------

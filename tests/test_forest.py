@@ -1,5 +1,7 @@
 """Random-forest training, prediction, and serialization."""
 
+import copy
+import functools
 import hashlib
 import itertools
 import json
@@ -9,9 +11,11 @@ import types
 import numpy as np
 import pytest
 
-from cafa.bench import SynthSpec, covid_preset, generate_synth, lung_preset
+from cafa.bench import SynthSpec, covid_preset, generate_synth, lung_preset, train_test_split
 from cafa.errors import InvalidInputError, ModelFormatError, TrainingError
+from cafa.explain import Background, shapley_forest
 from cafa.forest import ForestParams, RandomForest, Tree, accuracy, train_forest
+from cafa.pipeline import CafaConfig, cafa_local
 from cafa.schema import Dataset
 
 from .conftest import make_schema, random_rows, stump
@@ -540,3 +544,106 @@ def test_tree_fields_are_read_only(trained):
             getattr(tree, name)[0] = 1
     with pytest.raises(AttributeError):
         tree.extra = 1
+
+
+# -- threshold width ---------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _covid_local_surrogate():
+    """The benchmark's covid-local explanation of training day 25, against a
+    10-tree model: its surrogate and neighborhood rows."""
+    train, _ = train_test_split(covid_preset(seed=0), 0.3, seed=0)
+    model = train_forest(train, ForestParams(n_trees=10, seed=0))
+    cfg = CafaConfig(k=100, pi="estimate", n_perms=6, background_size=60, seed=3)
+    res = cafa_local(train.X[25], model, train.schema, cfg, data=train)
+    return res.surrogate, res.neighborhood.data.X
+
+
+def _categorical_forest():
+    data = generate_synth(SynthSpec(4, 1, 300, seed=2, kinds=(3, 5, 2, 4, 6)))
+    return train_forest(data, ForestParams(n_trees=6, seed=1)), data.X
+
+
+def test_categorical_splits_store_one_byte_thresholds():
+    forest, _ = _categorical_forest()
+    assert forest.nodes.dtype["threshold"] == np.uint8
+    assert forest.trees[0].threshold.dtype == np.uint8
+    surrogate, _ = _covid_local_surrogate()
+    assert surrogate.nodes.dtype["threshold"] == np.uint8
+    # int16 feature, left, right; the flag; the threshold; two uint8 counts
+    assert surrogate.nodes.dtype.itemsize == 10
+
+
+@pytest.mark.parametrize("threshold, is_cat, want", [
+    (0.5, False, np.float64),   # a continuous midpoint
+    (2.0, True, np.uint8),
+    (-0.0, True, np.float64),   # a uint8 0 reads back as +0.0
+    (2.5, True, np.float64),
+    (255.0, True, np.uint8),
+    (256.0, True, np.uint16),   # a code above 255
+    (65535.0, True, np.uint16),
+    (65536.0, True, np.float64),
+    (-1.0, True, np.float64),
+])
+def test_threshold_takes_the_narrowest_type_that_keeps_its_bits(threshold, is_cat, want):
+    tree = stump(0, threshold, np.array([1.0, 0.0]), np.array([0.0, 1.0]), is_cat=is_cat)
+    assert tree.threshold.dtype == want
+    assert tree.to_dict()["threshold"][0] == threshold
+    assert np.signbit(tree.to_dict()["threshold"][0]) == np.signbit(threshold)
+
+
+def test_one_wide_threshold_widens_the_whole_table():
+    half = stump(1, 2.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]), is_cat=True)
+    # a leaf's threshold is part of the table too
+    leaf = Tree([-1], [False], [0.5], [0], [0], [[0.25, 0.75]])
+    wide = stump(1, 300.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]), is_cat=True)
+    schema = make_schema(["cont", 400])
+    for trees, want in (([half, half], np.uint8), ([half, wide], np.uint16),
+                        ([half, leaf], np.float64), ([wide, leaf], np.float64)):
+        forest = RandomForest(trees, ForestParams(n_trees=2), schema, 2)
+        assert forest.nodes.dtype["threshold"] == want
+        assert [t.to_dict() for t in forest.trees] == [t.to_dict() for t in trees]
+    continuous = train_forest(_synth(), ForestParams(n_trees=2, seed=0))
+    assert continuous.nodes.dtype["threshold"] == np.float64
+
+
+def test_to_dict_writes_float_thresholds():
+    forest, _ = _categorical_forest()
+    for tree in forest.to_dict()["trees"]:
+        assert all(type(t) is float for t in tree["threshold"])
+    text = json.dumps(stump(0, 2.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                            is_cat=True).to_dict())
+    assert '"threshold": [2.0, 0.0, 0.0]' in text
+
+
+def _with_float64_thresholds(forest):
+    """The same forest with its node table re-packed with float64 thresholds."""
+    wide = copy.copy(forest)
+    dtype = np.dtype([(name, np.float64 if name == "threshold" else forest.nodes.dtype[name])
+                      for name in forest.nodes.dtype.names])
+    wide.nodes = forest.nodes.astype(dtype)
+    assert wide.nodes.dtype["threshold"] == np.float64 and wide.nodes.dtype != forest.nodes.dtype
+    assert np.array_equal(wide.nodes["threshold"], forest.nodes["threshold"])
+    return wide
+
+
+@pytest.mark.parametrize("case", ["categorical", "covid_local", "wide_code"])
+def test_narrow_thresholds_predict_and_explain_as_float64_ones(case):
+    if case == "categorical":
+        forest, X = _categorical_forest()
+    elif case == "covid_local":
+        forest, X = _covid_local_surrogate()
+    else:
+        forest = RandomForest(
+            [stump(1, 300.0, np.array([0.9, 0.1]), np.array([0.2, 0.8]), is_cat=True),
+             stump(0, 1.0, np.array([0.6, 0.4]), np.array([0.3, 0.7]), is_cat=True)],
+            ForestParams(n_trees=2), make_schema([3, 400]), 2)
+        X = np.column_stack([np.arange(40) % 3, np.arange(40) * 10 % 400]).astype(np.float64)
+        assert forest.nodes.dtype["threshold"] == np.uint16
+    wide = _with_float64_thresholds(forest)
+    assert forest.predict_proba(X).tobytes() == wide.predict_proba(X).tobytes()
+    bg = Background(X[::3])
+    phi, phi0 = shapley_forest(forest, X[:50], bg)
+    phi_wide, phi0_wide = shapley_forest(wide, X[:50], bg)
+    assert phi.tobytes() == phi_wide.tobytes() and phi0 == phi0_wide

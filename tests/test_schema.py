@@ -174,6 +174,21 @@ def test_validate_instance():
         validate_instance(schema, [np.nan, 1.0])
 
 
+def test_validate_instance_names_the_first_bad_feature():
+    schema = make_schema(["cont", 3, "cont", 4], names=["a", "b", "c", "d"])
+    with pytest.raises(InvalidInputError, match=r"^feature 'b': 3.0 is not a valid category code$"):
+        validate_instance(schema, [0.5, 3.0, 1.5, 0.5])
+    with pytest.raises(InvalidInputError, match=r"^feature 'a': -0.5 outside \[0, 1\]$"):
+        validate_instance(schema, [-0.5, 3.0, 0.5, 1.0])
+    with pytest.raises(InvalidInputError, match=r"^feature 'c': 1.5 outside \[0, 1\]$"):
+        validate_instance(schema, [0.5, 2.0, 1.5, 0.5])
+    # the slack clips continuous entries only, and a -0.0 stays as it is
+    out = validate_instance(schema, [-1e-10, 2.0, -0.0, 3.0])
+    assert out.tolist() == [0.0, 2.0, 0.0, 3.0]
+    assert not np.signbit(out[0]) and np.signbit(out[2])
+    assert validate_instance(schema, [1.0 + 1e-9, 0.0, 1.0, 0.0])[0] == 1.0
+
+
 def test_encode_instance():
     schema = make_schema(["cont", 3], names=["size", "grade"])
     params = ((10.0, 30.0), None)
