@@ -5,14 +5,16 @@ features split one-vs-rest on a single category code (``x == c`` goes left).
 Training rows are put into a canonical order before bootstrapping, so the
 same data in any row order yields bit-identical forests for a given seed.
 
-Explainers in this package depend only on the ``predict_proba`` surface, so
-any object exposing ``predict_proba(X) -> (n, n_classes)`` can stand in for
-a trained forest.
+The explained model is used only through ``predict_proba``, so any object
+exposing ``predict_proba(X) -> (n, n_classes)`` can stand in for it. The
+surrogate forest's explainer, ``explain.shapley_forest``, reads the forest's
+node table.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -93,21 +95,23 @@ def _threshold_type(threshold: np.ndarray) -> type:
     return np.float64
 
 
-def _records(feature, is_cat, threshold, left, right, value, top: int) -> np.ndarray:
-    """The nodes as one read-only record array.
+def _records(feature, is_cat, threshold, left, right, value) -> np.ndarray:
+    """The nodes of one tree, or of trees in turn, as one read-only record array.
 
     ``value`` holds class probabilities (floats) or class counts, which
     take the narrowest unsigned type that holds them. Thresholds take
     uint8 or uint16 when every one of them is a category code that fits
     (as in a forest that splits only on categorical features), else
-    float64. Indices are int16 when ``top``, the largest node or feature
-    index, fits, else int32.
+    float64. Indices are int16 when every feature and child index fits,
+    else int32; a tree's last node is a leaf that points to itself, so its
+    children reach its largest node index.
     """
+    feature, left, right = (np.asarray(a) for a in (feature, left, right))
     value_type = np.float64
     if value.dtype.kind != "f":
         value_type = _narrowest(value.max(), (np.uint8, np.uint16, np.uint32, np.uint64))
     threshold = np.asarray(threshold, dtype=np.float64)
-    index = _narrowest(top, (np.int16, np.int32))
+    index = _narrowest(max(feature.max(), left.max(), right.max()), (np.int16, np.int32))
     dtype = _node_dtype(value.shape[1], index, value_type, _threshold_type(threshold))
     nodes = np.empty(len(feature), dtype=dtype)
     for name, field in (("feature", feature), ("left", left), ("right", right),
@@ -118,43 +122,22 @@ def _records(feature, is_cat, threshold, left, right, value, top: int) -> np.nda
 
 
 class Tree:
-    """Decision tree stored as one packed, read-only record array.
+    """Read-only view of one tree's records in a forest's node table.
 
-    Node ``i`` is record ``i``: its split ``feature`` (``-1`` marks a leaf),
-    ``is_cat``, ``threshold``, ``left`` and ``right`` children, and its
-    class ``value``s. Leaves point to themselves so batch traversal can run
-    a fixed number of steps. Indices are int16 when the node count and every
-    feature index fit, else int32. Thresholds are uint8 (or uint16) when
-    every one is a category code in range, as in a tree that splits only on
-    categorical features, else float64; ``to_dict`` writes them as floats.
-
-    A tree is given either every node's class probabilities, ``leaf_prob``,
-    or the class counts of the training rows that reached it, ``counts``.
-    Counts are stored in the narrowest unsigned type that holds them (one
-    byte per class up to 255 rows, against eight for a probability), and
-    ``leaf_prob`` divides them by the node's row count on access, which
-    gives the probabilities bit for bit.
-
-    A ``RandomForest`` keeps no ``Tree``: it packs its trees' records into
-    one table, and its ``trees`` are views of that table.
+    ``RandomForest.trees`` makes one per tree on each access. Node ``i`` is
+    record ``i``: its split ``feature`` (``-1`` marks a leaf), ``is_cat``,
+    ``threshold``, ``left`` and ``right`` children, and its class
+    probabilities ``leaf_prob``. Leaves point to themselves. ``depth`` is
+    the number of tests on the tree's longest path. Fields take the
+    forest table's types; ``to_dict`` writes thresholds as floats and
+    class counts as probabilities.
     """
 
     __slots__ = ("_nodes", "depth")
 
-    def __init__(self, feature, is_cat, threshold, left, right, leaf_prob=None, counts=None):
-        feature, left, right = (np.asarray(a, dtype=np.int64) for a in (feature, left, right))
-        value = np.asarray(leaf_prob, dtype=np.float64) if counts is None else np.asarray(counts)
-        top = max(feature.size - 1, feature.max(), left.max(), right.max())
-        self._nodes = _records(feature, is_cat, threshold, left, right, value, top)
-        self.depth = self._measure_depth()
-
-    @classmethod
-    def _view(cls, nodes: np.ndarray, depth: int) -> "Tree":
-        """A tree over records that are already packed, and its known depth."""
-        tree = object.__new__(cls)
-        tree._nodes = nodes
-        tree.depth = depth
-        return tree
+    def __init__(self, nodes: np.ndarray, depth: int):
+        self._nodes = nodes
+        self.depth = depth
 
     @property
     def feature(self) -> np.ndarray:
@@ -180,18 +163,6 @@ class Tree:
     def leaf_prob(self) -> np.ndarray:
         return _prob(self._nodes["value"])
 
-    def _measure_depth(self) -> int:
-        feature = self.feature.tolist()
-        left, right = self.left.tolist(), self.right.tolist()
-        depth = 0
-        frontier = [(0, 0)]
-        while frontier:
-            node, d = frontier.pop()
-            depth = max(depth, d)
-            if feature[node] >= 0:
-                frontier += ((left[node], d + 1), (right[node], d + 1))
-        return depth
-
     def to_dict(self) -> dict:
         return {
             "feature": self.feature.tolist(),
@@ -202,33 +173,54 @@ class Tree:
             "leaf_prob": self.leaf_prob.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Tree":
-        """Decode a tree whose nodes are numbered as the builder numbers them:
-        every node but the root is the child of exactly one node with a lower
-        index, and a leaf (``feature < 0``) points to itself. Every
-        ``leaf_prob`` value is finite and >= 0, and a leaf's row sums to 1
-        within ``_PROB_TOL``."""
-        feature, left, right = (
-            np.asarray(doc[key], dtype=np.int64) for key in ("feature", "left", "right")
-        )
-        leaf_prob = np.asarray(doc["leaf_prob"], dtype=np.float64)
-        if (feature.size == 0 or leaf_prob.ndim != 2
-                or not feature.shape == left.shape == right.shape == leaf_prob.shape[:1]):
-            raise ModelFormatError("a tree needs one feature, left, right and leaf_prob "
-                                   "row per node")
-        node = np.arange(feature.size)
-        leaf = feature < 0
-        child_ok = np.where(leaf, (left == node) & (right == node), (left > node) & (right > node))
-        children = np.sort(np.concatenate([left[~leaf], right[~leaf]]))
-        if not (child_ok.all() and np.array_equal(children, node[1:])):
-            raise ModelFormatError("tree nodes are not numbered depth first")
-        if not (np.isfinite(leaf_prob).all() and (leaf_prob >= 0.0).all()):
-            raise ModelFormatError("tree leaf_prob values must be finite and >= 0")
-        if (np.abs(leaf_prob[leaf].sum(axis=1) - 1.0) > _PROB_TOL).any():
-            raise ModelFormatError(f"a leaf's leaf_prob row must sum to 1 within {_PROB_TOL}")
-        return cls(feature, np.asarray(doc["is_cat"], dtype=bool), doc["threshold"],
-                   left, right, leaf_prob)
+
+def _decode_tree(doc: dict, arity: int, n_classes: int) -> tuple[np.ndarray, int]:
+    """Records and depth of a tree document whose nodes are numbered as the
+    builder numbers them: every node but the root is the child of exactly
+    one node with a lower index, and a leaf (``feature < 0``) points to
+    itself. Every node has a ``feature`` in ``[-1, arity)``, ``left`` and
+    ``right`` as JSON integers, an ``is_cat`` boolean (or 0/1), a finite
+    ``threshold`` and a ``leaf_prob`` row of ``n_classes`` numbers, each
+    finite and >= 0; a leaf's row sums to 1 within ``_PROB_TOL``.
+    """
+    ints = [doc[key] for key in ("feature", "left", "right")]
+    if not all(type(v) is int for v in itertools.chain(*ints)):
+        raise ModelFormatError("tree feature, left and right entries must be JSON integers")
+    if not all(type(v) in (bool, int) and v in (0, 1) for v in doc["is_cat"]):
+        raise ModelFormatError("tree is_cat entries must be true, false, 0 or 1")
+    numbers = itertools.chain(doc["threshold"], *doc["leaf_prob"])
+    if not all(type(v) in (int, float) for v in numbers):
+        raise ModelFormatError("tree threshold and leaf_prob entries must be JSON numbers")
+    feature, left, right = (np.asarray(a, dtype=np.int64) for a in ints)
+    is_cat = np.asarray(doc["is_cat"], dtype=bool)
+    threshold = np.asarray(doc["threshold"], dtype=np.float64)
+    leaf_prob = np.asarray(doc["leaf_prob"], dtype=np.float64)
+    if (feature.size == 0 or leaf_prob.ndim != 2 or not feature.shape == is_cat.shape
+            == threshold.shape == left.shape == right.shape == leaf_prob.shape[:1]):
+        raise ModelFormatError("a tree needs one feature, is_cat, threshold, left, right and "
+                               "leaf_prob entry per node")
+    node = np.arange(feature.size)
+    leaf = feature < 0
+    child_ok = np.where(leaf, (left == node) & (right == node), (left > node) & (right > node))
+    children = np.sort(np.concatenate([left[~leaf], right[~leaf]]))
+    if not (child_ok.all() and np.array_equal(children, node[1:])):
+        raise ModelFormatError("tree nodes are not numbered depth first")
+    if feature.min() < -1 or feature.max() >= arity:
+        raise ModelFormatError("tree splits on a feature outside the schema")
+    if not np.isfinite(threshold).all():
+        raise ModelFormatError("tree thresholds must be finite")
+    if leaf_prob.shape[1] != n_classes:
+        raise ModelFormatError(f"tree leaf_prob rows must hold {n_classes} classes")
+    if not (np.isfinite(leaf_prob).all() and (leaf_prob >= 0.0).all()):
+        raise ModelFormatError("tree leaf_prob values must be finite and >= 0")
+    if (np.abs(leaf_prob[leaf].sum(axis=1) - 1.0) > _PROB_TOL).any():
+        raise ModelFormatError(f"a leaf's leaf_prob row must sum to 1 within {_PROB_TOL}")
+    # Parents come before their children, so one pass in node order works.
+    level = [0] * feature.size
+    for i, (f, a, b) in enumerate(zip(feature.tolist(), left.tolist(), right.tolist())):
+        if f >= 0:
+            level[a] = level[b] = level[i] + 1
+    return _records(feature, is_cat, threshold, left, right, leaf_prob), max(level)
 
 
 def _sum_classes(a):
@@ -277,6 +269,7 @@ class _TreeBuilder:
         self.mtry = params.resolve_mtry(schema.arity)
         self.varies = (X != X[:1]).any(axis=0)
         self.classes = np.arange(n_classes)[:, None, None]
+        self.depth = 0
         self.feature = []
         self.is_cat = []
         self.threshold = []
@@ -284,15 +277,15 @@ class _TreeBuilder:
         self.right = []
         self.counts = []
 
-    def build(self) -> Tree:
+    def build(self) -> np.ndarray:
+        """The tree's records, holding class counts; ``depth`` is its depth."""
         self._grow(np.arange(self.XT.shape[1]), depth=0)
-        return Tree(
-            self.feature, self.is_cat, self.threshold,
-            self.left, self.right, counts=np.vstack(self.counts),
-        )
+        return _records(self.feature, self.is_cat, self.threshold,
+                        self.left, self.right, np.vstack(self.counts))
 
     def _grow(self, idx, depth) -> int:
         node = len(self.feature)
+        self.depth = max(self.depth, depth)
         self.feature.append(-1)
         self.is_cat.append(False)
         self.threshold.append(0.0)
@@ -384,6 +377,8 @@ class RandomForest:
     after tree, with each tree's children numbered within the tree. Tree
     ``t`` is records ``starts[t]`` to ``starts[t + 1]`` and has depth
     ``depths[t]``. ``trees`` makes a ``Tree`` view of each on access.
+    ``train_forest`` (class counts) and ``from_dict`` (probabilities) pass
+    each tree's packed records and depth.
     """
 
     # Every result keeps its surrogate alive, so a forest holds three arrays
@@ -393,20 +388,13 @@ class RandomForest:
     __slots__ = ("nodes", "starts", "depths", "params", "schema", "n_classes",
                  "norm_params", "label_values")
 
-    def __init__(self, trees, params: ForestParams, schema: FeatureSchema, n_classes: int,
-                 norm_params: tuple | None = None, label_values: tuple | None = None):
-        # Counts stay counts if every tree holds them; otherwise every tree
-        # brings its probabilities.
-        records = [t._nodes for t in trees]
-        counts = all(r.dtype["value"].base.kind != "f" for r in records)
-        fields = (np.concatenate([r[name] for r in records])
-                  for name in ("feature", "is_cat", "threshold", "left", "right"))
-        value = np.concatenate([r["value"] if counts else t.leaf_prob
-                                for t, r in zip(trees, records)])
-        top = max(max(r.size - 1, r["feature"].max()) for r in records)
-        self.nodes = _records(*fields, value, top)
+    def __init__(self, records, depths, params: ForestParams, schema: FeatureSchema,
+                 n_classes: int, norm_params: tuple | None = None,
+                 label_values: tuple | None = None):
+        self.nodes = _records(*(np.concatenate([r[name] for r in records]) for name in
+                                ("feature", "is_cat", "threshold", "left", "right", "value")))
         self.starts = np.cumsum([0] + [r.size for r in records])
-        self.depths = np.array([t.depth for t in trees])
+        self.depths = np.array(depths)
         self.starts.flags.writeable = self.depths.flags.writeable = False
         self.params = params
         self.schema = schema
@@ -418,7 +406,7 @@ class RandomForest:
     def trees(self) -> list:
         """A ``Tree`` view of each tree's records, made on each access."""
         bounds = self.starts.tolist()
-        return [Tree._view(self.nodes[a:b], d)
+        return [Tree(self.nodes[a:b], d)
                 for a, b, d in zip(bounds, bounds[1:], self.depths.tolist())]
 
     @property
@@ -484,8 +472,11 @@ class RandomForest:
         try:
             params = ForestParams(**doc["params"])
             schema = FeatureSchema.from_dict(doc["schema"])
-            n_classes = int(doc["n_classes"])
-            trees = [Tree.from_dict(t) for t in doc["trees"]]
+            n_classes = doc["n_classes"]
+            if type(n_classes) is not int or n_classes < 2:
+                raise ModelFormatError(f"model needs an integer n_classes >= 2, "
+                                       f"got {n_classes!r}")
+            trees = [_decode_tree(t, schema.arity, n_classes) for t in doc["trees"]]
             norm_params = tuple(
                 tuple(p) if p else None for p in doc.get("norm_params") or []
             ) or None
@@ -494,20 +485,14 @@ class RandomForest:
             label_values = doc.get("label_values")
             if label_values is not None:
                 label_values = string_list(label_values, "label_values")
-        except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, InvalidInputError) as exc:
             raise ModelFormatError(f"malformed model document: {exc}") from None
-        if n_classes < 2:
-            raise ModelFormatError(f"model needs n_classes >= 2, got {n_classes}")
         if label_values is not None and len(label_values) < n_classes:
             raise ModelFormatError(f"label_values names {len(label_values)} of {n_classes} classes")
         if not trees:
             raise ModelFormatError("model has no trees")
-        for tree in trees:
-            if tree.feature.min() < -1 or tree.feature.max() >= schema.arity:
-                raise ModelFormatError("tree splits on a feature outside the schema")
-            if tree.leaf_prob.shape[1] != n_classes:
-                raise ModelFormatError(f"tree leaf_prob rows must hold {n_classes} classes")
-        return cls(trees, params, schema, n_classes, norm_params, label_values)
+        records, depths = zip(*trees)
+        return cls(records, depths, params, schema, n_classes, norm_params, label_values)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -551,14 +536,15 @@ def train_forest(data: Dataset, params: ForestParams | None = None) -> RandomFor
     n_classes = int(y.max()) + 1
 
     seeds = np.random.SeedSequence(params.seed).spawn(params.n_trees)
-    trees = []
+    records, depths = [], []
     for t in range(params.n_trees):
         rng = np.random.default_rng(seeds[t])
         boot = rng.integers(0, n, size=n)
         builder = _TreeBuilder(X[boot], y[boot], data.schema, params, n_classes, rng)
-        trees.append(builder.build())
+        records.append(builder.build())
+        depths.append(builder.depth)
     return RandomForest(
-        trees, params, data.schema, n_classes,
+        records, depths, params, data.schema, n_classes,
         norm_params=data.norm_params, label_values=data.label_values,
     )
 

@@ -1,4 +1,4 @@
-"""Shared helpers: small schemas, model fakes, stump trees, random instances, a coalition-value reference, a memory-peak probe."""
+"""Shared helpers: small schemas, model fakes, hand-written trees and forests, random instances, a coalition-value reference, a memory-peak probe."""
 
 import tracemalloc
 from pathlib import Path
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings
 
 from cafa.explain import Background, _prob1
-from cafa.forest import Tree
+from cafa.forest import ForestParams, RandomForest
 from cafa.schema import Feature, FeatureSchema
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
@@ -45,16 +45,32 @@ def coalition_value(f, x, coalition, bg: Background) -> float:
     return float(_prob1(f, Z).mean())
 
 
-def stump(feature, threshold, left_prob, right_prob, is_cat=False) -> Tree:
-    """Single-split tree, for hand-built oracles."""
-    return Tree(
-        feature=[feature, -1, -1],
-        is_cat=[is_cat, False, False],
-        threshold=[threshold, 0.0, 0.0],
-        left=[1, 1, 2],
-        right=[2, 1, 2],
-        leaf_prob=np.vstack([np.zeros_like(left_prob, dtype=np.float64), left_prob, right_prob]),
-    )
+def stump(feature, threshold, left_prob, right_prob, is_cat=False) -> dict:
+    """Tree document of a single split, for hand-built oracles."""
+    return {
+        "feature": [feature, -1, -1],
+        "is_cat": [is_cat, False, False],
+        "threshold": [threshold, 0.0, 0.0],
+        "left": [1, 1, 2],
+        "right": [2, 1, 2],
+        "leaf_prob": [[0.0] * len(left_prob), np.asarray(left_prob, dtype=np.float64).tolist(),
+                      np.asarray(right_prob, dtype=np.float64).tolist()],
+    }
+
+
+def leaf(prob, threshold=0.0) -> dict:
+    """Tree document of a single leaf."""
+    return {"feature": [-1], "is_cat": [False], "threshold": [threshold],
+            "left": [0], "right": [0], "leaf_prob": [list(prob)]}
+
+
+def forest_of(schema, tree_docs, n_classes=2) -> RandomForest:
+    """A forest of tree documents, decoded and checked as a model file is."""
+    return RandomForest.from_dict({
+        "format": "cafa-forest", "version": 1,
+        "params": ForestParams(n_trees=len(tree_docs)).to_dict(),
+        "n_classes": n_classes, "schema": schema.to_dict(), "trees": list(tree_docs),
+    })
 
 
 def make_schema(kinds, controllable=None, weights=None, names=None):

@@ -436,6 +436,11 @@ def _model_with(ws, tmp_path, edit) -> str:
     return str(path)
 
 
+def _set_in_tree(key, i, value):
+    """Edit that sets entry ``i`` of the first tree's ``key`` list to ``value``."""
+    return lambda d: d["trees"][0][key].__setitem__(i, value)
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda d: d["schema"]["features"][0].update(kind="ordinal"), id="unknown-kind"),
     pytest.param(lambda d: d["schema"]["features"][0].update(weight=-1.0), id="negative-weight"),
@@ -453,6 +458,19 @@ def _model_with(ws, tmp_path, edit) -> str:
     # the model has two classes
     pytest.param(lambda d: d.update(label_values="01"), id="labels-string"),
     pytest.param(lambda d: d.update(label_values=["0"]), id="labels-too-few"),
+    # the first tree's root splits, so its left child is node 1
+    pytest.param(lambda d: d["trees"][0]["threshold"].__delitem__(slice(1, None)),
+                 id="one-threshold"),
+    pytest.param(lambda d: d["trees"][0]["is_cat"].__delitem__(slice(1, None)), id="one-is-cat"),
+    pytest.param(_set_in_tree("feature", 0, 1.7), id="fractional-feature"),
+    pytest.param(_set_in_tree("left", 0, 1.0), id="float-left"),
+    pytest.param(_set_in_tree("feature", 0, 2 ** 70), id="feature-past-int64"),
+    pytest.param(_set_in_tree("is_cat", 0, "no"), id="string-is-cat"),
+    pytest.param(_set_in_tree("threshold", 0, float("nan")), id="nan-threshold"),
+    pytest.param(_set_in_tree("threshold", 0, "0.5"), id="string-threshold"),
+    pytest.param(_set_in_tree("leaf_prob", -1, ["0.5", "0.5"]), id="string-leaf-prob"),
+    pytest.param(lambda d: d.update(n_classes=2.9), id="fractional-n-classes"),
+    pytest.param(lambda d: d.update(n_classes="2"), id="string-n-classes"),
 ])
 def test_bad_model_entry_exits_4(ws, tmp_path, edit):
     model = _model_with(ws, tmp_path, edit)

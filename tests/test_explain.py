@@ -19,9 +19,10 @@ from cafa.explain import (
     shapley_forest,
     shapley_mc,
 )
-from cafa.forest import ForestParams, RandomForest, Tree, train_forest
+from cafa.forest import ForestParams, RandomForest, train_forest
 
-from .conftest import ProbModel, coalition_value, make_schema, peak_bytes, random_rows, stump
+from .conftest import (ProbModel, coalition_value, forest_of, leaf, make_schema, peak_bytes,
+                       random_rows, stump)
 
 
 def shapley_brute(f, x, bg, m):
@@ -96,9 +97,8 @@ def test_exact_matches_brute_force():
 def test_exact_dummy_features_bit_zero():
     # stump forest reads only feature 0; features 1..3 are dummies
     schema = make_schema(["cont"] * 4)
-    trees = [stump(0, t, np.array([0.8, 0.2]), np.array([0.1, 0.9]))
-             for t in (0.3, 0.5, 0.7)]
-    model = RandomForest(trees, ForestParams(n_trees=3), schema, 2)
+    model = forest_of(schema, [stump(0, t, np.array([0.8, 0.2]), np.array([0.1, 0.9]))
+                               for t in (0.3, 0.5, 0.7)])
     rng = np.random.default_rng(1)
     bg = Background(rng.random((10, 4)))
     attr = shapley_exact(model, rng.random(4), bg)
@@ -161,8 +161,7 @@ def test_mc_close_to_exact_at_2000_perms():
 
 def test_mc_dummy_feature_small_and_exactly_zero():
     schema = make_schema(["cont"] * 4)
-    trees = [stump(0, 0.5, np.array([0.9, 0.1]), np.array([0.2, 0.8]))]
-    model = RandomForest(trees, ForestParams(n_trees=1), schema, 2)
+    model = forest_of(schema, [stump(0, 0.5, np.array([0.9, 0.1]), np.array([0.2, 0.8]))])
     rng = np.random.default_rng(2)
     bg = Background(rng.random((8, 4)))
     mc = shapley_mc(model, rng.random(4), bg, n_perms=2000, seed=1)
@@ -316,8 +315,8 @@ def test_signed_zero_counts_as_a_different_value():
 
 # --- exact tree path --------------------------------------------------------
 
-def _chain_tree(schema, rng, depth, features):
-    """A tree with one path of ``depth`` tests on ``features`` (repeats
+def _chain_tree(schema, rng, depth, features) -> dict:
+    """Document of a tree with one path of ``depth`` tests on ``features`` (repeats
     allowed) and a leaf beside every test; the first test is categorical and
     the path takes its right branch."""
     feature, is_cat, threshold, left, right, prob = [], [], [], [], [], []
@@ -344,7 +343,8 @@ def _chain_tree(schema, rng, depth, features):
         (right if went_left else left)[here] = node()
         cur = here
     (left if went_left else right)[cur] = node()
-    return Tree(feature, is_cat, threshold, left, right, np.array(prob))
+    return {"feature": feature, "is_cat": is_cat, "threshold": threshold, "left": left,
+            "right": right, "leaf_prob": prob}
 
 
 def _tree_case(m, n_bg, seed):
@@ -356,7 +356,7 @@ def _tree_case(m, n_bg, seed):
         _chain_tree(model.schema, rng, 10, [cat[0], *rng.choice(m, size=3, replace=False)])
         for _ in range(2)
     ]
-    forest = RandomForest(model.trees + chains, model.params, model.schema, 2)
+    forest = forest_of(model.schema, [t.to_dict() for t in model.trees] + chains)
     return forest, x, bg
 
 
@@ -403,15 +403,14 @@ def test_tree_path_zeros_are_positive():
 
     # features no tree splits on: a forest of chain trees on two columns
     chains = [_chain_tree(forest.schema, rng, 6, [1, 5]) for _ in range(3)]
-    sparse = RandomForest(chains, forest.params, forest.schema, 2)
+    sparse = forest_of(forest.schema, chains)
     phi, _ = shapley_forest(sparse, X, bg)
     unsplit = [j for j in range(9) if j not in (1, 5)]
     assert np.all(phi[:, unsplit] == 0.0) and not np.any(np.signbit(phi[:, unsplit]))
     assert np.any(phi[:, [1, 5]] != 0.0)
 
     # a forest of single leaves splits on nothing at all
-    leaf = Tree([-1], [False], [0.0], [0], [0], [[0.4, 0.6]])
-    phi, phi0 = shapley_forest(RandomForest([leaf], forest.params, forest.schema, 2), X, bg)
+    phi, phi0 = shapley_forest(forest_of(forest.schema, [leaf([0.4, 0.6])]), X, bg)
     assert np.all(phi == 0.0) and not np.any(np.signbit(phi)) and abs(phi0 - 0.6) <= 1e-15
 
 
@@ -531,19 +530,20 @@ def test_tree_path_slots_beyond_64():
     cont = int(np.flatnonzero(~schema.is_categorical)[0])
     feats = [cont] * 64 + [j for j in range(9) if j != cont]
     d = len(feats)
-    # node k < d tests feats[k], goes on left to node k + 1 and has leaf
-    # d + k on its right; node 2d is the leaf at the end of the chain
+    # node k < d tests feats[k] and has leaf d + k on its right; it goes on
+    # left to node k + 1, and node d - 1 to node 2d, the leaf at the end of
+    # the chain
     thr = [2.0] * 64 + [float(x[j]) if schema.is_categorical[j] else 0.5 for j in feats[64:]]
-    chain = Tree(
-        feature=feats + [-1] * (d + 1),
-        is_cat=[bool(schema.is_categorical[j]) for j in feats] + [False] * (d + 1),
-        threshold=thr + [0.0] * (d + 1),
-        left=[*range(1, d + 1), *range(d, 2 * d + 1)],
-        right=[*range(d, 2 * d), *range(d, 2 * d + 1)],
-        leaf_prob=np.column_stack([1.0 - np.linspace(0.1, 0.9, 2 * d + 1),
-                                   np.linspace(0.1, 0.9, 2 * d + 1)]),
-    )
-    forest = RandomForest([*forest.trees, chain], forest.params, schema, 2)
+    chain = {
+        "feature": feats + [-1] * (d + 1),
+        "is_cat": [bool(schema.is_categorical[j]) for j in feats] + [False] * (d + 1),
+        "threshold": thr + [0.0] * (d + 1),
+        "left": [*range(1, d), 2 * d, *range(d, 2 * d + 1)],
+        "right": [*range(d, 2 * d), *range(d, 2 * d + 1)],
+        "leaf_prob": np.column_stack([1.0 - np.linspace(0.1, 0.9, 2 * d + 1),
+                                      np.linspace(0.1, 0.9, 2 * d + 1)]).tolist(),
+    }
+    forest = forest_of(schema, [*(t.to_dict() for t in forest.trees), chain])
     assert max(t.depth for t in forest.trees) == d == 72
     X = np.vstack([x, bg.rows[0], np.where(np.arange(9) % 2, x, bg.rows[-1])])
     _assert_exact(forest, X, bg, pinned=[0, 3, 6])

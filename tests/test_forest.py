@@ -14,11 +14,11 @@ import pytest
 from cafa.bench import SynthSpec, covid_preset, generate_synth, lung_preset, train_test_split
 from cafa.errors import InvalidInputError, ModelFormatError, TrainingError
 from cafa.explain import Background, shapley_forest
-from cafa.forest import ForestParams, RandomForest, Tree, accuracy, train_forest
+from cafa.forest import ForestParams, RandomForest, accuracy, train_forest
 from cafa.pipeline import CafaConfig, cafa_local
 from cafa.schema import Dataset
 
-from .conftest import make_schema, random_rows, stump
+from .conftest import forest_of, leaf, make_schema, random_rows, stump
 
 
 def _stump_ref(x, feature, threshold, left, right, is_cat=False):
@@ -26,13 +26,9 @@ def _stump_ref(x, feature, threshold, left, right, is_cat=False):
     return left if go_left else right
 
 
-def _one_tree(tree, schema) -> RandomForest:
-    return RandomForest([tree], ForestParams(n_trees=1), schema, tree.leaf_prob.shape[1])
-
-
 def test_stump_oracle_continuous():
     left, right = np.array([0.9, 0.1]), np.array([0.2, 0.8])
-    forest = _one_tree(stump(0, 0.5, left, right), make_schema(["cont"] * 4))
+    forest = forest_of(make_schema(["cont"] * 4), [stump(0, 0.5, left, right)])
     # brute force over all corners of the {0, 0.25, 1}^4 grid
     for corner in itertools.product([0.0, 0.25, 1.0], repeat=4):
         x = np.array(corner)
@@ -43,7 +39,7 @@ def test_stump_oracle_continuous():
 
 def test_stump_oracle_categorical():
     left, right = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    forest = _one_tree(stump(1, 2.0, left, right, is_cat=True), make_schema(["cont", 4]))
+    forest = forest_of(make_schema(["cont", 4]), [stump(1, 2.0, left, right, is_cat=True)])
     for code in range(4):
         x = np.array([0.0, float(code)])
         want = _stump_ref(x, 1, 2.0, left, right, is_cat=True)
@@ -72,7 +68,7 @@ def test_one_tree_forest_matches_row_by_row_walk():
     X = np.asfortranarray(data.X[:80])  # predict must not assume C order
     for tree in model.trees:
         want = _normalized(tree.leaf_prob[[_walk(tree, x) for x in X]])
-        assert np.array_equal(_one_tree(tree, data.schema).predict_proba(X), want)
+        assert np.array_equal(forest_of(data.schema, [tree.to_dict()]).predict_proba(X), want)
 
 
 def _apply_reference(tree, X):
@@ -100,9 +96,7 @@ def predict_reference(forest, X):
 
 def test_forest_probability_is_mean_of_trees():
     t1 = stump(0, 0.5, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    t2 = Tree([-1], [False], [0.0], [0], [0], [[0.25, 0.75]])  # a single leaf
-    schema = make_schema(["cont"])
-    forest = RandomForest([t1, t2], ForestParams(n_trees=2), schema, 2)
+    forest = forest_of(make_schema(["cont"]), [t1, leaf([0.25, 0.75])])
     got = forest.predict_proba(np.array([[0.2]]))[0]
     assert np.allclose(got, [(1.0 + 0.25) / 2, (0.0 + 0.75) / 2], atol=1e-15)
 
@@ -265,10 +259,40 @@ def _trained_doc() -> dict:
                  id="leaf-sums-below-1"),
     pytest.param({"trees": [{**_STUMP, "leaf_prob": [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]}]},
                  id="leaf-sums-above-1"),
+    # one entry per node, each of its JSON type
+    pytest.param({"trees": [{**_STUMP, "threshold": [0.5]}]}, id="one-threshold"),
+    pytest.param({"trees": [{**_STUMP, "is_cat": [0]}]}, id="one-is-cat"),
+    pytest.param({"trees": [{**_STUMP, "feature": [1.7, -1, -1]}]}, id="fractional-feature"),
+    pytest.param({"trees": [{**_STUMP, "feature": [True, -1, -1]}]}, id="boolean-feature"),
+    pytest.param({"trees": [{**_STUMP, "left": [1.0, 1, 2]}]}, id="float-left"),
+    pytest.param({"trees": [{**_STUMP, "right": [2, 1, "2"]}]}, id="string-right"),
+    pytest.param({"trees": [{**_STUMP, "feature": [2 ** 70, -1, -1]}]}, id="feature-past-int64"),
+    pytest.param({"trees": [{**_STUMP, "is_cat": ["no", 0, 0]}]}, id="string-is-cat"),
+    pytest.param({"trees": [{**_STUMP, "is_cat": [2, 0, 0]}]}, id="is-cat-2"),
+    pytest.param({"trees": [{**_STUMP, "is_cat": [0.5, 0, 0]}]}, id="fractional-is-cat"),
+    pytest.param({"trees": [{**_STUMP, "threshold": [np.nan, 0.0, 0.0]}]}, id="nan-threshold"),
+    pytest.param({"trees": [{**_STUMP, "threshold": [0.5, np.inf, 0.0]}]},
+                 id="infinite-threshold"),
+    pytest.param({"trees": [{**_STUMP, "threshold": ["0.5", 0.0, 0.0]}]}, id="string-threshold"),
+    pytest.param({"trees": [{**_STUMP, "threshold": [10 ** 400, 0.0, 0.0]}]},
+                 id="threshold-past-float"),
+    pytest.param({"trees": [{**_STUMP, "leaf_prob": [[0, 0], ["1", "0"], [0, 1]]}]},
+                 id="string-leaf-prob"),
+    pytest.param({"n_classes": 2.9}, id="fractional-n-classes"),
+    pytest.param({"n_classes": "2"}, id="string-n-classes"),
 ])
 def test_load_rejects_a_tree_that_is_not_a_builder_tree(edit):
     with pytest.raises(ModelFormatError):
         RandomForest.from_dict({**_trained_doc(), **edit})
+
+
+def test_load_takes_json_booleans_and_integers_where_numbers_go():
+    tree = {**_STUMP, "is_cat": [False, True, 1], "threshold": [1, 0, 0.0],
+            "leaf_prob": [[0, 0], [1, 0], [0.0, 1]]}
+    loaded = RandomForest.from_dict({**_trained_doc(), "trees": [tree]}).trees[0]
+    assert loaded.is_cat.tolist() == [False, True, True]
+    assert loaded.threshold.tolist() == [1.0, 0.0, 0.0]
+    assert loaded.leaf_prob.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 
 
 def test_load_rejects_a_trained_model_with_nan_leaves():
@@ -312,9 +336,7 @@ def test_load_rejects_a_root_that_is_its_own_child():
 def test_hand_built_trees_load():
     schema = make_schema(["cont", "cont"])
     for tree in (_STUMP, _FIVE):
-        doc = {"format": "cafa-forest", "params": ForestParams(n_trees=1).to_dict(),
-               "n_classes": 2, "schema": schema.to_dict(), "trees": [tree]}
-        assert RandomForest.from_dict(doc).trees[0].to_dict() == tree
+        assert forest_of(schema, [tree]).trees[0].to_dict() == tree
 
 
 def test_accuracy_matches_manual_mean():
@@ -388,48 +410,90 @@ def test_seeded_forest_is_bit_identical(case, breast_data):
     assert hashlib.sha256(doc.encode()).hexdigest() == want
 
 
+def _records_of(index, threshold, value, n_classes=2):
+    return np.dtype([("feature", index), ("left", index), ("right", index), ("is_cat", "?"),
+                     ("threshold", threshold), ("value", value, (n_classes,))])
+
+
+# The node table of each PINNED_FORESTS case; its to_dict hash cannot see
+# records that got wider.
+PINNED_RECORDS = {
+    "covid": _records_of("<i2", "<f8", "<u2"),
+    "lung": _records_of("<i2", "<f8", "<u2"),
+    "breast": _records_of("<i2", "u1", "u1"),
+    "three_class": _records_of("<i2", "<f8", "u1", n_classes=3),
+    "deep": _records_of("<i2", "<f8", "u1"),
+    "all_features": _records_of("<i2", "<f8", "u1"),
+    "constant_columns": _records_of("<i2", "<f8", "u1"),
+}
+
+
+def _walked_depth(tree) -> int:
+    """The number of tests on the longest path, found by walking every path."""
+    depth, stack = 0, [(0, 0)]
+    while stack:
+        node, d = stack.pop()
+        depth = max(depth, d)
+        if tree.feature[node] >= 0:
+            stack += [(int(tree.left[node]), d + 1), (int(tree.right[node]), d + 1)]
+    return depth
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_FORESTS))
+def test_seeded_forest_records_depths_and_round_trip(case, breast_data):
+    make, params, _ = PINNED_FORESTS[case]
+    data = make(breast_data)
+    model = train_forest(data, params)
+    assert model.nodes.dtype == PINNED_RECORDS[case]
+    assert model.depths.tolist() == [_walked_depth(t) for t in model.trees]
+    again = RandomForest.from_dict(json.loads(json.dumps(model.to_dict())))
+    assert again.depths.tolist() == model.depths.tolist()
+    assert again.starts.tolist() == model.starts.tolist()
+    assert again.predict_proba(data.X).tobytes() == model.predict_proba(data.X).tobytes()
+
+
 # -- packed node records -----------------------------------------------------
 
 
+def _wide_tree(leaf_prob) -> dict:
+    """A depth-2 tree whose root splits on feature 2**15, one past int16."""
+    return {"feature": [2**15, -1, 1, -1, -1], "is_cat": [False, False, True, False, False],
+            "threshold": [0.5, 0.0, 2.0, 0.0, 0.0], "left": [1, 1, 3, 3, 4],
+            "right": [2, 1, 4, 3, 4], "leaf_prob": leaf_prob}
+
+
+def _wide_schema():
+    return make_schema(["cont", 3] + ["cont"] * (2**15 - 1))
+
+
 def test_wide_feature_index_takes_int32_records():
-    wide = 2**15  # one past the int16 range
-    tree = Tree(
-        feature=[wide, -1, 1, -1, -1],
-        is_cat=[False, False, True, False, False],
-        threshold=[0.5, 0.0, 2.0, 0.0, 0.0],
-        left=[1, 1, 3, 3, 4],
-        right=[2, 1, 4, 3, 4],
-        leaf_prob=[[0, 0, 0], [1.0, 0, 0], [0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]],
-    )
+    wide = 2**15
+    schema = _wide_schema()
+    forest = forest_of(schema, [_wide_tree(
+        [[0, 0, 0], [1.0, 0, 0], [0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])], 3)
+    tree = forest.trees[0]
     assert tree.feature.dtype == tree.left.dtype == np.int32
     assert tree.depth == 2
-    schema = make_schema(["cont", 3] + ["cont"] * (wide - 1))
     X = random_rows(make_schema(["cont", 3]), np.random.default_rng(0), 12)
     X = np.hstack([X, np.zeros((12, wide - 1))])
     X[:, wide] = np.linspace(0.0, 1.0, 12)
     want = [1 if x[wide] <= 0.5 else (3 if x[1] == 2.0 else 4) for x in X]
-    forest = RandomForest([tree], ForestParams(n_trees=1), schema, 3)
     assert forest.nodes.dtype["left"] == np.int32
     assert np.array_equal(forest.predict_proba(X), _normalized(tree.leaf_prob[want]))
-    doc = json.loads(json.dumps(tree.to_dict()))
-    again = Tree.from_dict(doc)
-    assert again.to_dict() == tree.to_dict()
-    assert again.feature.dtype == np.int32
-    again_forest = RandomForest([again], ForestParams(n_trees=1), schema, 3)
-    assert np.array_equal(again_forest.predict_proba(X), forest.predict_proba(X))
+    again = forest_of(schema, [json.loads(json.dumps(tree.to_dict()))], 3)
+    assert again.trees[0].to_dict() == tree.to_dict()
+    assert again.trees[0].feature.dtype == np.int32
+    assert np.array_equal(again.predict_proba(X), forest.predict_proba(X))
 
 
 def _wide_tree_case():
     """The int32-index tree above, and rows that reach each of its leaves."""
     wide = 2**15
-    tree = Tree([wide, -1, 1, -1, -1], [False, False, True, False, False],
-                [0.5, 0.0, 2.0, 0.0, 0.0], [1, 1, 3, 3, 4], [2, 1, 4, 3, 4],
-                [[0, 0, 0], [0.5, 0.5, 0], [0, 0, 0], [0, 0.25, 0.75], [0, 0, 1.0]])
-    schema = make_schema(["cont", 3] + ["cont"] * (wide - 1))
+    tree = _wide_tree([[0, 0, 0], [0.5, 0.5, 0], [0, 0, 0], [0, 0.25, 0.75], [0, 0, 1.0]])
     X = np.zeros((12, wide + 1))
     X[:, 1] = np.arange(12) % 3
     X[:, wide] = np.linspace(0.0, 1.0, 12)
-    return RandomForest([tree], ForestParams(n_trees=1), schema, 3), X
+    return forest_of(_wide_schema(), [tree], 3), X
 
 
 def _mixed_depth_case():
@@ -437,15 +501,17 @@ def _mixed_depth_case():
     data = generate_synth(SynthSpec(3, 1, 150, seed=6))
     shallow, deep = (train_forest(data, ForestParams(n_trees=3, max_depth=d, seed=1)).trees
                      for d in (2, 4))
-    leaf = Tree([-1], [False], [0.0], [0], [0], [[0.4, 0.6]])
-    chain = Tree([0, -1, 2, -1, 0, -1, 2, -1, 0, -1, -1], [False] * 11, [0.8, 0, 0.3, 0, 0.6,
-                 0, 0.1, 0, 0.4, 0, 0], [1, 1, 3, 3, 5, 5, 7, 7, 9, 9, 10],
-                 [2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 10],
-                 [[0.5, 0.5], [0.9, 0.1], [0.5, 0.5], [0.3, 0.7], [0.5, 0.5], [0.6, 0.4],
-                  [0.5, 0.5], [0.2, 0.8], [0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
-    trees = [*deep, leaf, stump(1, 1.0, np.array([0.7, 0.3]), np.array([0.1, 0.9]),
-             is_cat=True), *shallow, chain]
-    forest = RandomForest(trees, ForestParams(n_trees=9), data.schema, 2)
+    chain = {"feature": [0, -1, 2, -1, 0, -1, 2, -1, 0, -1, -1], "is_cat": [False] * 11,
+             "threshold": [0.8, 0, 0.3, 0, 0.6, 0, 0.1, 0, 0.4, 0, 0],
+             "left": [1, 1, 3, 3, 5, 5, 7, 7, 9, 9, 10],
+             "right": [2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 10],
+             "leaf_prob": [[0.5, 0.5], [0.9, 0.1], [0.5, 0.5], [0.3, 0.7], [0.5, 0.5],
+                           [0.6, 0.4], [0.5, 0.5], [0.2, 0.8], [0.5, 0.5], [1.0, 0.0],
+                           [0.0, 1.0]]}
+    trees = [*(t.to_dict() for t in deep), leaf([0.4, 0.6]),
+             stump(1, 1.0, np.array([0.7, 0.3]), np.array([0.1, 0.9]), is_cat=True),
+             *(t.to_dict() for t in shallow), chain]
+    forest = forest_of(data.schema, trees)
     assert sorted(set(forest.depths.tolist())) == [0, 1, 2, 4, 5]
     return forest, data.X
 
@@ -481,9 +547,10 @@ def test_forest_keeps_one_node_table_and_trees_are_views_of_it():
     assert not forest.nodes.flags.writeable
     # the hand-built trees hold probabilities, so every row is one
     assert forest.nodes.dtype["value"].base == np.float64
-    for tree in forest.trees:
+    again = RandomForest.from_dict(forest.to_dict())
+    for tree, back in zip(forest.trees, again.trees, strict=True):
         assert tree._nodes.base is forest.nodes
-        assert tree.to_dict() == Tree.from_dict(tree.to_dict()).to_dict()
+        assert back.to_dict() == tree.to_dict()
     trained = train_forest(_synth(), ForestParams(n_trees=3, seed=1))
     assert trained.nodes.dtype["value"].base == np.uint8  # no class reaches 256 rows
     assert trained.nodes.dtype["left"] == np.int16
@@ -505,7 +572,8 @@ def test_trained_forest_holds_little_beyond_its_node_table():
 
 
 def test_small_tree_takes_int16_records():
-    tree = stump(3, 0.5, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    tree = forest_of(make_schema(["cont"] * 4),
+                     [stump(3, 0.5, np.array([1.0, 0.0]), np.array([0.0, 1.0]))]).trees[0]
     assert tree.feature.dtype == tree.left.dtype == tree.right.dtype == np.int16
     assert tree.to_dict() == {
         "feature": [3, -1, -1], "is_cat": [0, 0, 0], "threshold": [0.5, 0.0, 0.0],
@@ -517,17 +585,16 @@ def test_small_tree_takes_int16_records():
 def test_trained_trees_store_counts_and_reload_as_probabilities():
     data = generate_synth(SynthSpec(3, 1, 150, seed=6))
     model = train_forest(data, ForestParams(n_trees=4, seed=1))
-    for tree in model.trees:
-        # 150 bootstrap rows: counts fit in a byte, against 8 for a probability
-        assert tree._nodes.dtype["value"].base == np.uint8
+    # 150 bootstrap rows: counts fit in a byte, against 8 for a probability
+    assert model.nodes.dtype["value"].base == np.uint8
+    again = RandomForest.from_dict(json.loads(json.dumps(model.to_dict())))
+    assert again.nodes.dtype["value"].base == np.float64
+    for tree, back in zip(model.trees, again.trees, strict=True):
         prob = tree.leaf_prob
         assert np.allclose(prob.sum(axis=1), 1.0, atol=1e-15)
-        again = Tree.from_dict(json.loads(json.dumps(tree.to_dict())))
-        assert again._nodes.dtype["value"].base == np.float64
-        assert again.to_dict() == tree.to_dict()
-        assert again.leaf_prob.tobytes() == prob.tobytes()
-        got = _one_tree(again, data.schema).predict_proba(data.X)
-        assert got.tobytes() == _one_tree(tree, data.schema).predict_proba(data.X).tobytes()
+        assert back.to_dict() == tree.to_dict()
+        assert back.leaf_prob.tobytes() == prob.tobytes()
+    assert again.predict_proba(data.X).tobytes() == model.predict_proba(data.X).tobytes()
 
 
 @pytest.mark.parametrize("trained", [False, True])
@@ -536,7 +603,8 @@ def test_tree_fields_are_read_only(trained):
         data = generate_synth(SynthSpec(2, 1, 60, seed=3))
         tree = train_forest(data, ForestParams(n_trees=1, seed=0)).trees[0]
     else:
-        tree = stump(0, 0.5, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        tree = forest_of(make_schema(["cont"]),
+                         [stump(0, 0.5, np.array([1.0, 0.0]), np.array([0.0, 1.0]))]).trees[0]
     for name in ("feature", "is_cat", "threshold", "left", "right", "leaf_prob"):
         with pytest.raises(AttributeError):
             setattr(tree, name, getattr(tree, name).copy())
@@ -587,7 +655,8 @@ def test_categorical_splits_store_one_byte_thresholds():
     (-1.0, True, np.float64),
 ])
 def test_threshold_takes_the_narrowest_type_that_keeps_its_bits(threshold, is_cat, want):
-    tree = stump(0, threshold, np.array([1.0, 0.0]), np.array([0.0, 1.0]), is_cat=is_cat)
+    doc = stump(0, threshold, np.array([1.0, 0.0]), np.array([0.0, 1.0]), is_cat=is_cat)
+    tree = forest_of(make_schema(["cont"]), [doc]).trees[0]
     assert tree.threshold.dtype == want
     assert tree.to_dict()["threshold"][0] == threshold
     assert np.signbit(tree.to_dict()["threshold"][0]) == np.signbit(threshold)
@@ -596,14 +665,14 @@ def test_threshold_takes_the_narrowest_type_that_keeps_its_bits(threshold, is_ca
 def test_one_wide_threshold_widens_the_whole_table():
     half = stump(1, 2.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]), is_cat=True)
     # a leaf's threshold is part of the table too
-    leaf = Tree([-1], [False], [0.5], [0], [0], [[0.25, 0.75]])
+    half_leaf = leaf([0.25, 0.75], threshold=0.5)
     wide = stump(1, 300.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]), is_cat=True)
     schema = make_schema(["cont", 400])
     for trees, want in (([half, half], np.uint8), ([half, wide], np.uint16),
-                        ([half, leaf], np.float64), ([wide, leaf], np.float64)):
-        forest = RandomForest(trees, ForestParams(n_trees=2), schema, 2)
+                        ([half, half_leaf], np.float64), ([wide, half_leaf], np.float64)):
+        forest = forest_of(schema, trees)
         assert forest.nodes.dtype["threshold"] == want
-        assert [t.to_dict() for t in forest.trees] == [t.to_dict() for t in trees]
+        assert [t.to_dict() for t in forest.trees] == trees
     continuous = train_forest(_synth(), ForestParams(n_trees=2, seed=0))
     assert continuous.nodes.dtype["threshold"] == np.float64
 
@@ -612,8 +681,8 @@ def test_to_dict_writes_float_thresholds():
     forest, _ = _categorical_forest()
     for tree in forest.to_dict()["trees"]:
         assert all(type(t) is float for t in tree["threshold"])
-    text = json.dumps(stump(0, 2.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                            is_cat=True).to_dict())
+    doc = stump(0, 2.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]), is_cat=True)
+    text = json.dumps(forest_of(make_schema([3]), [doc]).trees[0].to_dict())
     assert '"threshold": [2.0, 0.0, 0.0]' in text
 
 
@@ -635,10 +704,9 @@ def test_narrow_thresholds_predict_and_explain_as_float64_ones(case):
     elif case == "covid_local":
         forest, X = _covid_local_surrogate()
     else:
-        forest = RandomForest(
-            [stump(1, 300.0, np.array([0.9, 0.1]), np.array([0.2, 0.8]), is_cat=True),
-             stump(0, 1.0, np.array([0.6, 0.4]), np.array([0.3, 0.7]), is_cat=True)],
-            ForestParams(n_trees=2), make_schema([3, 400]), 2)
+        forest = forest_of(make_schema([3, 400]), [
+            stump(1, 300.0, np.array([0.9, 0.1]), np.array([0.2, 0.8]), is_cat=True),
+            stump(0, 1.0, np.array([0.6, 0.4]), np.array([0.3, 0.7]), is_cat=True)])
         X = np.column_stack([np.arange(40) % 3, np.arange(40) * 10 % 400]).astype(np.float64)
         assert forest.nodes.dtype["threshold"] == np.uint16
     wide = _with_float64_thresholds(forest)
