@@ -17,12 +17,13 @@ Three families:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .schema import Dataset, Feature, FeatureSchema, IngestionSpec
+from .schema import Dataset, Feature, FeatureSchema, IngestionSpec, integer
 
 
 @dataclass(frozen=True)
@@ -46,34 +47,34 @@ class SynthSpec:
     noise: float = 0.0
 
     def __post_init__(self):
-        if self.m_controllable < 0 or self.m_uncontrollable < 0:
-            raise InvalidInputError("feature counts must be >= 0")
+        integer(self.m_controllable, "m_controllable")
+        integer(self.m_uncontrollable, "m_uncontrollable")
         if self.m_controllable + self.m_uncontrollable < 1:
             raise InvalidInputError("need at least one feature")
-        if self.n_rows < 1:
-            raise InvalidInputError("n_rows must be >= 1")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 <= self.noise < 0.5:
-            raise InvalidInputError(f"noise must be in [0, 0.5), got {self.noise}")
+        integer(self.n_rows, "n_rows", 1)
+        integer(self.seed, "seed")
+        noise = self.noise
+        if isinstance(noise, bool) or not isinstance(noise, numbers.Real) or not 0 <= noise < 0.5:
+            raise InvalidInputError(f"noise must be in [0, 0.5), got {noise!r}")
         m = self.m_controllable + self.m_uncontrollable
         if self.kinds is not None:
             if len(self.kinds) != m:
                 raise InvalidInputError(f"kinds must list all {m} features")
             for k in self.kinds:
-                if k != "cont" and (not isinstance(k, int) or k < 2):
-                    raise InvalidInputError(f"kind must be 'cont' or an int >= 2, got {k!r}")
+                if k != "cont":
+                    integer(k, "kinds entry other than 'cont'", 2)
         if self.rule_features is not None:
             if len(self.rule_features) < 1:
                 raise InvalidInputError("rule must use at least one feature")
             for j in self.rule_features:
-                if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
-                    raise InvalidInputError(f"rule feature index must be an integer, got {j!r}")
-                if not 0 <= j < m:
-                    raise InvalidInputError(f"rule feature index {j} out of range")
-        if self.rule_weights is not None:
+                if integer(j, "rule_features entry") >= m:
+                    raise InvalidInputError(f"rule_features entry {j} out of range")
+        weights = self.rule_weights
+        if weights is not None:
+            if not all(isinstance(w, numbers.Real) and not isinstance(w, bool) for w in weights):
+                raise InvalidInputError(f"rule_weights must list numbers, got {weights!r}")
             ref = self.rule_features if self.rule_features is not None else range(m)
-            if len(self.rule_weights) != len(tuple(ref)):
+            if len(weights) != len(tuple(ref)):
                 raise InvalidInputError("rule_weights must match rule_features in length")
 
     @property

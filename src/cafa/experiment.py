@@ -29,7 +29,7 @@ from .explain import derive_seed, global_explanation
 from .forest import ForestParams, accuracy, train_forest
 from .pipeline import CafaConfig, GlobalCafaResult, cafa_global, cafa_local, standard_shap
 from .reports import write_global_run, write_run, write_run_meta
-from .schema import IngestionSpec, load_csv, read_json
+from .schema import IngestionSpec, integer, load_csv, read_json
 
 REQUIRED_KEYS = ("dataset", "model", "cafa", "sample", "out_dir")
 
@@ -46,11 +46,12 @@ def _build(cls, section: str, fields, **defaults):
 
 
 def _int(value, key: str) -> int:
-    """A JSON integer config value, all of which are seeds, counts or indices;
-    anything but a non-negative integer is a usage error."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise UsageError(f"{key} config must be a non-negative integer, got {value!r}")
-    return value
+    """A top-level or preset config value, all of which are seeds, counts or
+    indices; anything but a non-negative integer is a usage error."""
+    try:
+        return integer(value, f"{key} config")
+    except InvalidInputError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def load_dataset(ds_cfg: dict):
@@ -72,21 +73,12 @@ def load_dataset(ds_cfg: dict):
         return bench.lung_preset(seed=_int(ds_cfg.get("seed", 0), "dataset.seed"))
     if kind == "synth":
         fields = {k: v for k, v in ds_cfg.items() if k != "kind"}
-        for key in ("seed", "n_rows", "m_controllable", "m_uncontrollable"):
-            if key in fields:
-                fields[key] = _int(fields[key], f"dataset.{key}")
         for key in ("kinds", "rule_features", "rule_weights"):
             value = fields.get(key)
             if value is None:
                 continue
             if not isinstance(value, list):
                 raise UsageError(f"dataset.{key} config must be a list, got {value!r}")
-            if key == "rule_features":
-                value = [_int(j, f"dataset.{key}") for j in value]
-            if key == "rule_weights" and not all(
-                isinstance(w, (int, float)) and not isinstance(w, bool) for w in value
-            ):
-                raise UsageError(f"dataset.{key} config must list numbers, got {value!r}")
             fields[key] = tuple(value)
         return bench.generate_synth(_build(bench.SynthSpec, "dataset", fields))
     raise UsageError(

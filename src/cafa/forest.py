@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ModelFormatError, TrainingError
-from .schema import Dataset, FeatureSchema, read_json, string_list
+from .schema import Dataset, FeatureSchema, integer, read_json, string_list
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,12 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1 or self.max_depth < 1 or self.min_leaf < 1:
-            raise InvalidInputError("forest params must be positive")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise InvalidInputError("features_per_split must be >= 1 when given")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
+        integer(self.n_trees, "n_trees", 1)
+        integer(self.max_depth, "max_depth", 1)
+        integer(self.min_leaf, "min_leaf", 1)
+        if self.features_per_split is not None:
+            integer(self.features_per_split, "features_per_split", 1)
+        integer(self.seed, "seed")
 
     def resolve_mtry(self, m: int) -> int:
         k = self.features_per_split or math.ceil(math.sqrt(m))
@@ -472,10 +472,7 @@ class RandomForest:
         try:
             params = ForestParams(**doc["params"])
             schema = FeatureSchema.from_dict(doc["schema"])
-            n_classes = doc["n_classes"]
-            if type(n_classes) is not int or n_classes < 2:
-                raise ModelFormatError(f"model needs an integer n_classes >= 2, "
-                                       f"got {n_classes!r}")
+            n_classes = integer(doc["n_classes"], "n_classes", 2)
             trees = [_decode_tree(t, schema.arity, n_classes) for t in doc["trees"]]
             norm_params = tuple(
                 tuple(p) if p else None for p in doc.get("norm_params") or []

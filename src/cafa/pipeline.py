@@ -13,6 +13,7 @@ attributions are exactly zero by construction.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,7 @@ from .explain import (
 )
 from .forest import ForestParams, RandomForest, accuracy, train_forest
 from .sampler import NeighborhoodSample, generate_neighborhood
-from .schema import Dataset, FeatureSchema, validate_instance
+from .schema import Dataset, FeatureSchema, integer, validate_instance
 
 # Seed-derivation tags so every pipeline stage gets an independent stream.
 _TAG_PROXIMITY = 0
@@ -71,21 +72,17 @@ class CafaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InvalidInputError("k must be >= 1")
-        if isinstance(self.pi, str):
-            if self.pi != "estimate":
-                raise InvalidInputError("pi must be a float in (0, 1] or 'estimate'")
-        elif not 0.0 < float(self.pi) <= 1.0:
-            raise InvalidInputError(f"pi must be in (0, 1], got {self.pi}")
-        if self.n_perms < 1:
-            raise InvalidInputError("n_perms must be >= 1")
-        if self.n_locals is not None and self.n_locals < 1:
-            raise InvalidInputError("n_locals must be >= 1 when given")
-        if self.background_size < 1:
-            raise InvalidInputError("background_size must be >= 1")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
+        integer(self.k, "k", 1)
+        pi = self.pi
+        if pi != "estimate" and (isinstance(pi, bool) or not isinstance(pi, numbers.Real)
+                                 or not 0.0 < pi <= 1.0):
+            raise InvalidInputError(f"pi must be a float in (0, 1] or 'estimate', got {pi!r}")
+        integer(self.n_perms, "n_perms", 1)
+        if self.n_locals is not None:
+            integer(self.n_locals, "n_locals", 1)
+        integer(self.background_size, "background_size", 1)
+        integer(self.max_attempts, "max_attempts", 1)
+        integer(self.seed, "seed")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

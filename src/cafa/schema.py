@@ -38,6 +38,14 @@ def string_list(values, what: str) -> tuple[str, ...]:
     return values
 
 
+def integer(value, what: str, minimum: int = 0) -> int:
+    """``value``, which must be an integer (not a bool) >= ``minimum``: the rule
+    for every count, seed and index a config or model file holds."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidInputError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Feature:
     """One feature column: a schema feature, and the codec for one feature
@@ -466,6 +474,8 @@ def encode_instance(schema: FeatureSchema, norm_params, raw: dict) -> np.ndarray
             try:
                 value = float(v)
             except (TypeError, ValueError):
+                value = None
+            if value is None or isinstance(v, bool):
                 raise InvalidInputError(f"feature {f.name!r}: expected a number, got {v!r}")
             x[i] = normalize(value, *norm_params[i])
     return x

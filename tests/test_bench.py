@@ -101,7 +101,7 @@ def test_spec_validation():
 @pytest.mark.parametrize("index", [1.5, 1.0, True, "1", None])
 def test_rule_feature_index_must_be_an_integer(index):
     # a float or bool index would be truncated to a column when labelling
-    with pytest.raises(InvalidInputError, match="rule feature index must be an integer"):
+    with pytest.raises(InvalidInputError, match="rule_features entry must be an integer"):
         SynthSpec(2, 0, 50, rule_features=(index,))
 
 

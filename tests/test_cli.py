@@ -249,37 +249,51 @@ def test_experiment_flow(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "section, edit",
+    "message, edit",
     [
-        ("dataset", lambda d: d["dataset"].update(sed=2)),
-        ("model", lambda d: d["model"].update(max_dpeth=6)),
-        ("model", lambda d: d.update(model=[1])),
-        ("cafa.surrogate_params", lambda d: d["cafa"]["surrogate_params"].update(n_tres=20)),
-        ("dataset", lambda d: d.update(dataset=[1])),
-        ("dataset", lambda d: d.update(dataset={"kind": "csv"})),
-        ("dataset.seed", lambda d: d.update(dataset={"kind": "lung_preset", "seed": "x"})),
-        ("instance", lambda d: d.update(instance="x")),
-        ("sample", lambda d: d.update(sample="two")),
-        ("seed", lambda d: d.update(seed=1.5)),
-        ("dataset.spec", lambda d: d.update(dataset={"kind": "csv", "path": "d.csv", "spec": 0})),
-        ("dataset.path", lambda d: d.update(dataset={"kind": "csv", "path": 5, "spec": "s.json"})),
-        ("dataset.seed", lambda d: d["dataset"].update(seed="x")),
-        ("dataset.n_rows", lambda d: d["dataset"].update(n_rows="250")),
-        ("cafa", lambda d: d["cafa"].update(explainer="exact")),
-        ("dataset.kinds", lambda d: d["dataset"].update(kinds=5)),
-        ("dataset.kinds", lambda d: d["dataset"].update(kinds="cont")),
-        ("dataset.rule_features", lambda d: d["dataset"].update(rule_features=0)),
-        ("dataset.rule_features", lambda d: d["dataset"].update(rule_features=[1.5])),
-        ("dataset.rule_weights", lambda d: d["dataset"].update(rule_weights={"a": 1})),
-        ("dataset.rule_weights", lambda d: d["dataset"].update(rule_weights=["a", "b"])),
-        ("seed", lambda d: d.update(seed=-1)),
-        ("dataset.seed", lambda d: d.update(dataset={"kind": "covid_preset", "seed": -2})),
-        ("dataset.seed", lambda d: d["dataset"].update(seed=-1)),
-        ("cafa", lambda d: d["cafa"].update(exact_limit=15)),
-        ("cafa", lambda d: d["cafa"].update(shap_perms=200)),
-        ("model", lambda d: d["model"].update(seed=-1)),
-        ("cafa", lambda d: d["cafa"].update(seed=-1)),
-        ("cafa.surrogate_params", lambda d: d["cafa"]["surrogate_params"].update(seed=-1)),
+        ("dataset config", lambda d: d["dataset"].update(sed=2)),
+        ("model config", lambda d: d["model"].update(max_dpeth=6)),
+        ("model config", lambda d: d.update(model=[1])),
+        ("cafa.surrogate_params config",
+         lambda d: d["cafa"]["surrogate_params"].update(n_tres=20)),
+        ("dataset config", lambda d: d.update(dataset=[1])),
+        ("dataset config", lambda d: d.update(dataset={"kind": "csv"})),
+        ("dataset.seed config", lambda d: d.update(dataset={"kind": "lung_preset", "seed": "x"})),
+        ("instance config", lambda d: d.update(instance="x")),
+        ("sample config", lambda d: d.update(sample="two")),
+        ("seed config", lambda d: d.update(seed=1.5)),
+        ("dataset.spec config",
+         lambda d: d.update(dataset={"kind": "csv", "path": "d.csv", "spec": 0})),
+        ("dataset.path config",
+         lambda d: d.update(dataset={"kind": "csv", "path": 5, "spec": "s.json"})),
+        ("dataset config: seed", lambda d: d["dataset"].update(seed="x")),
+        ("dataset config: n_rows", lambda d: d["dataset"].update(n_rows="250")),
+        ("cafa config", lambda d: d["cafa"].update(explainer="exact")),
+        ("dataset.kinds config", lambda d: d["dataset"].update(kinds=5)),
+        ("dataset.kinds config", lambda d: d["dataset"].update(kinds="cont")),
+        ("dataset.rule_features config", lambda d: d["dataset"].update(rule_features=0)),
+        ("dataset config: rule_features", lambda d: d["dataset"].update(rule_features=[1.5])),
+        ("dataset.rule_weights config", lambda d: d["dataset"].update(rule_weights={"a": 1})),
+        ("dataset config: rule_weights", lambda d: d["dataset"].update(rule_weights=["a", "b"])),
+        ("seed config", lambda d: d.update(seed=-1)),
+        ("dataset.seed config", lambda d: d.update(dataset={"kind": "covid_preset", "seed": -2})),
+        ("dataset config: seed", lambda d: d["dataset"].update(seed=-1)),
+        ("cafa config", lambda d: d["cafa"].update(exact_limit=15)),
+        ("cafa config", lambda d: d["cafa"].update(shap_perms=200)),
+        ("model config: seed", lambda d: d["model"].update(seed=-1)),
+        ("cafa config: seed", lambda d: d["cafa"].update(seed=-1)),
+        ("cafa.surrogate_params config: seed",
+         lambda d: d["cafa"]["surrogate_params"].update(seed=-1)),
+        ("model config: n_trees", lambda d: d["model"].update(n_trees=2.5)),
+        ("model config: features_per_split", lambda d: d["model"].update(features_per_split=1.5)),
+        ("cafa config: k must", lambda d: d["cafa"].update(k=15.5)),
+        ("cafa config: k must", lambda d: d["cafa"].update(k=True)),
+        ("cafa config: background_size", lambda d: d["cafa"].update(background_size=10.5)),
+        ("cafa config: n_locals", lambda d: d["cafa"].update(n_locals=3.5)),
+        ("model config: max_depth", lambda d: d["model"].update(max_depth=2.5)),
+        ("model config: n_trees", lambda d: d["model"].update(n_trees=True)),
+        ("cafa config: max_attempts", lambda d: d["cafa"].update(max_attempts=5000.5)),
+        ("cafa config: pi must", lambda d: d["cafa"].update(pi=True)),
     ],
     ids=["dataset-key", "model-key", "model-not-object", "surrogate-key", "dataset-not-object",
          "csv-no-path-spec", "dataset-seed", "instance", "sample", "seed", "csv-spec-not-str",
@@ -288,15 +302,17 @@ def test_experiment_flow(tmp_path):
          "synth-rule-weights-object", "synth-rule-weights-str", "negative-seed",
          "negative-preset-seed", "negative-synth-seed", "removed-exact-limit",
          "removed-shap-perms", "negative-model-seed", "negative-cafa-seed",
-         "negative-surrogate-seed"],
+         "negative-surrogate-seed", "fractional-n-trees", "fractional-mtry", "fractional-k",
+         "bool-k", "fractional-background", "fractional-n-locals", "fractional-max-depth",
+         "bool-n-trees", "fractional-max-attempts", "bool-pi"],
 )
-def test_experiment_bad_section_exit_2(tmp_path, capsys, section, edit):
+def test_experiment_bad_section_exit_2(tmp_path, capsys, message, edit):
     doc = _experiment_config(tmp_path / "out")
     edit(doc)
     cfg = tmp_path / "typo.json"
     cfg.write_text(json.dumps(doc))
     assert main(["experiment", str(cfg)]) == 2
-    assert f"{section} config" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
@@ -410,7 +426,7 @@ def test_bad_instance_file_exit_3(ws, tmp_path, capsys):
     inst.write_text("{not json")
     assert _explain(ws, tmp_path / "o", "--instance", str(inst)) == 3
     assert "not valid JSON" in capsys.readouterr().err
-    for value in ("abc", [1]):
+    for value in ("abc", [1], True):
         inst.write_text(json.dumps({**raw, name: value}))
         for cmd in ("explain", "compare"):
             assert main([cmd, "--data", ws["data"], "--spec", ws["spec"], "--model", ws["model"],
@@ -446,6 +462,8 @@ def _set_in_tree(key, i, value):
     pytest.param(lambda d: d["schema"]["features"][0].update(weight=-1.0), id="negative-weight"),
     pytest.param(lambda d: d["schema"]["features"][1].update(name="u0"), id="duplicate-name"),
     pytest.param(lambda d: d["params"].update(n_trees=0), id="zero-trees"),
+    pytest.param(lambda d: d["params"].update(max_depth=2.5), id="params-float"),
+    pytest.param(lambda d: d["params"].update(n_trees=True), id="params-bool"),
     pytest.param(lambda d: d["schema"]["features"][0].pop("controllable"), id="no-controllable"),
     pytest.param(lambda d: d["schema"]["features"].__setitem__(0, 7), id="entry-not-object"),
     pytest.param(lambda d: d["trees"][0]["left"].__setitem__(0, 10 ** 6), id="child-past-end"),

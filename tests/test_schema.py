@@ -2,6 +2,7 @@
 
 import csv
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cafa.bench import SynthSpec
 from cafa.errors import IngestionError, InvalidInputError, ModelFormatError
+from cafa.forest import ForestParams
+from cafa.pipeline import CafaConfig
 from cafa.schema import (
     Dataset,
     Feature,
@@ -198,6 +202,8 @@ def test_encode_instance():
         encode_instance(schema, params, {"size": 20.0})
     with pytest.raises(InvalidInputError):
         encode_instance(schema, params, {"size": 20.0, "grade": "9"})
+    with pytest.raises(InvalidInputError, match="'size': expected a number, got True"):
+        encode_instance(schema, params, {"size": True, "grade": "2"})
 
 
 def test_encode_instance_without_norm_params_is_a_model_error():
@@ -207,6 +213,23 @@ def test_encode_instance_without_norm_params_is_a_model_error():
         encode_instance(schema, None, {"size": 20.0, "grade": "2"})
     cat_only = make_schema([3], names=["grade"])
     assert list(encode_instance(cat_only, None, {"grade": "2"})) == [2.0]
+
+
+@pytest.mark.parametrize("cls, valid", [
+    (ForestParams, {}),
+    (CafaConfig, {}),
+    (SynthSpec, {"m_controllable": 2, "m_uncontrollable": 1, "n_rows": 10}),
+], ids=["ForestParams", "CafaConfig", "SynthSpec"])
+def test_every_count_and_seed_field_takes_only_integers(cls, valid):
+    # a field annotated int is a count, seed or index: one added later
+    # cannot skip the integer rule
+    fields = [name for name, t in typing.get_type_hints(cls).items() if t in (int, int | None)]
+    assert "seed" in fields
+    cls(**valid)
+    for name in fields:
+        for bad in (1.5, 2.0, True):
+            with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
+                cls(**{**valid, name: bad})
 
 
 # --- Dataset ----------------------------------------------------------------
