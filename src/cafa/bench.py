@@ -50,7 +50,7 @@ class SynthSpec:
         integer(self.m_controllable, "m_controllable")
         integer(self.m_uncontrollable, "m_uncontrollable")
         if self.m_controllable + self.m_uncontrollable < 1:
-            raise InvalidInputError("need at least one feature")
+            raise InvalidInputError("m_controllable + m_uncontrollable must be >= 1")
         integer(self.n_rows, "n_rows", 1)
         integer(self.seed, "seed")
         noise = self.noise

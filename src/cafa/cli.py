@@ -17,22 +17,30 @@ import sys
 
 import numpy as np
 
-from . import bench
 from .errors import CafaError, InvalidInputError, UsageError
-from .experiment import global_meta, run_experiment, sample_rows
+from .experiment import (
+    _build,
+    _cafa_config,
+    global_meta,
+    load_dataset,
+    run_experiment,
+    sample_rows,
+)
 from .explain import derive_seed, lime_explain
 from .forest import ForestParams, RandomForest, accuracy, train_forest
 from .pipeline import CafaConfig, cafa_global, cafa_local, compare_with_shap, standard_shap
 from .reports import write_attribution_csv, write_attribution_json, write_global_run, write_run
 from .schema import (
-    IngestionSpec,
     dataset_to_raw_csv,
     encode_instance,
     ingestion_spec_for,
-    load_csv,
     read_json,
     validate_instance,
 )
+
+
+# ``synth --kind`` -> the experiment driver's dataset kind.
+_SYNTH_KINDS = {"synth": "synth", "covid": "covid_preset", "lung": "lung_preset"}
 
 
 def _add_data_args(p):
@@ -96,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cafa_args(p)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--kind", choices=("synth", "covid", "lung"), default="synth")
+    p.add_argument("--kind", choices=tuple(_SYNTH_KINDS), default="synth")
     p.add_argument("--rows", type=int, default=1000)
     p.add_argument("--controllable", type=int, default=4)
     p.add_argument("--uncontrollable", type=int, default=2)
@@ -130,7 +138,7 @@ def _resolve_instance(arg: str, data, model: RandomForest) -> np.ndarray:
 
 def _load_data_and_model(args):
     """The dataset named by ``--data``/``--spec`` and the ``--model`` trained on its schema."""
-    data = load_csv(args.data, IngestionSpec.from_json(args.spec))
+    data = _data_from_args(args)
     model = RandomForest.load(args.model)
     if tuple(model.schema.names) != tuple(data.schema.names):
         raise UsageError(
@@ -147,29 +155,26 @@ def _config_from_args(args) -> CafaConfig:
             pi = float(pi)
         except ValueError:
             raise UsageError(f"--pi must be a float or 'estimate', got {pi!r}") from None
-    return CafaConfig(
-        k=args.k,
-        pi=pi,
-        n_perms=args.n_perms,
-        n_locals=args.n_locals,
-        background_size=args.background,
-        surrogate_params=ForestParams(
-            n_trees=args.surrogate_trees, max_depth=args.surrogate_depth
-        ),
-        seed=args.seed,
-    )
+    doc = {
+        "k": args.k,
+        "pi": pi,
+        "n_perms": args.n_perms,
+        "n_locals": args.n_locals,
+        "background_size": args.background,
+        "surrogate_params": {"n_trees": args.surrogate_trees, "max_depth": args.surrogate_depth},
+    }
+    return _cafa_config(doc, args.seed)
+
+
+def _data_from_args(args):
+    return load_dataset({"kind": "csv", "path": args.data, "spec": args.spec})
 
 
 def cmd_train(args) -> int:
-    spec = IngestionSpec.from_json(args.spec)
-    data = load_csv(args.data, spec)
-    params = ForestParams(
-        n_trees=args.trees,
-        max_depth=args.depth,
-        min_leaf=args.min_leaf,
-        features_per_split=args.mtry,
-        seed=args.seed,
-    )
+    fields = {"n_trees": args.trees, "max_depth": args.depth, "min_leaf": args.min_leaf,
+              "features_per_split": args.mtry, "seed": args.seed}
+    params = _build(ForestParams, "model", fields)
+    data = _data_from_args(args)
     model = train_forest(data, params)
     model.save(args.out)
     print(f"trained {params.n_trees} trees on {data.n_rows} rows; "
@@ -178,10 +183,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    cfg = _config_from_args(args)
     data, model = _load_data_and_model(args)
     x = _resolve_instance(args.instance, data, model)
     x = validate_instance(data.schema, x)
-    cfg = _config_from_args(args)
     names = data.schema.names
 
     meta = {
@@ -222,8 +227,8 @@ def cmd_explain(args) -> int:
 
 
 def cmd_global(args) -> int:
-    data, model = _load_data_and_model(args)
     cfg = _config_from_args(args)
+    data, model = _load_data_and_model(args)
     sample_idx = sample_rows(data.n_rows, args.sample, args.seed)
 
     res = cafa_global(data.X[sample_idx], model, data.schema, cfg, data=data)
@@ -241,9 +246,9 @@ def cmd_global(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    cfg = _config_from_args(args)
     data, model = _load_data_and_model(args)
     x = _resolve_instance(args.instance, data, model)
-    cfg = _config_from_args(args)
     names = data.schema.names
 
     res = compare_with_shap(x, model, data.schema, cfg, data=data)
@@ -271,19 +276,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.kind == "covid":
-        data = bench.covid_preset(seed=args.seed)
-    elif args.kind == "lung":
-        data = bench.lung_preset(seed=args.seed)
-    else:
-        spec = bench.SynthSpec(
-            m_controllable=args.controllable,
-            m_uncontrollable=args.uncontrollable,
-            n_rows=args.rows,
-            noise=args.noise,
-            seed=args.seed,
-        )
-        data = bench.generate_synth(spec)
+    doc = {"kind": _SYNTH_KINDS[args.kind], "seed": args.seed}
+    if args.kind == "synth":
+        doc.update(m_controllable=args.controllable, m_uncontrollable=args.uncontrollable,
+                   n_rows=args.rows, noise=args.noise)
+    data = load_dataset(doc)
     dataset_to_raw_csv(data, args.out)
     if args.spec_out:
         with open(args.spec_out, "w", encoding="utf-8") as fh:
@@ -313,8 +310,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except CafaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,9 +49,9 @@ def _int(value, key: str) -> int:
     """A top-level or preset config value, all of which are seeds, counts or
     indices; anything but a non-negative integer is a usage error."""
     try:
-        return integer(value, f"{key} config")
+        return integer(value, key.rpartition(".")[2])
     except InvalidInputError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(f"bad {key} config: {exc}") from None
 
 
 def load_dataset(ds_cfg: dict):
@@ -128,20 +128,21 @@ def run_experiment(config_path, timestamp: bool = False) -> Path:
     seed = _int(doc.get("seed", 0), "seed")
     instance_idx = _int(doc.get("instance", 0), "instance")
     n_sample = _int(doc["sample"], "sample")
+    if not isinstance(doc["out_dir"], str):
+        raise UsageError(f"out_dir config must be a string, got {doc['out_dir']!r}")
+    model_params = _build(ForestParams, "model", doc["model"], seed=seed)
+    cfg = _cafa_config(doc["cafa"], seed)
     data = load_dataset(doc["dataset"])
     schema = data.schema
     names = schema.names
-
-    model_params = _build(ForestParams, "model", doc["model"], seed=seed)
-    model = train_forest(data, model_params)
-    train_acc = accuracy(model, data)
-
-    cfg = _cafa_config(doc["cafa"], seed)
-    out_dir = Path(doc["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if not 0 <= instance_idx < data.n_rows:
         raise UsageError(f"instance index {instance_idx} out of range (0..{data.n_rows - 1})")
+    sample_idx = sample_rows(data.n_rows, n_sample, seed)
+
+    model = train_forest(data, model_params)
+    train_acc = accuracy(model, data)
+    out_dir = Path(doc["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     x = data.X[instance_idx]
 
     # Local pass: both methods on the named instance.
@@ -176,7 +177,6 @@ def run_experiment(config_path, timestamp: bool = False) -> Path:
     )
 
     # Global pass over a seeded sample of training rows.
-    sample_idx = sample_rows(data.n_rows, n_sample, seed)
     gres = cafa_global(data.X[sample_idx], model, schema, cfg, data=data)
     global_doc = {"aggregate": "mean over instances", "seed": seed}
     write_global_run(

@@ -294,6 +294,7 @@ def test_experiment_flow(tmp_path):
         ("model config: n_trees", lambda d: d["model"].update(n_trees=True)),
         ("cafa config: max_attempts", lambda d: d["cafa"].update(max_attempts=5000.5)),
         ("cafa config: pi must", lambda d: d["cafa"].update(pi=True)),
+        ("out_dir config", lambda d: d.update(out_dir=5)),
     ],
     ids=["dataset-key", "model-key", "model-not-object", "surrogate-key", "dataset-not-object",
          "csv-no-path-spec", "dataset-seed", "instance", "sample", "seed", "csv-spec-not-str",
@@ -304,7 +305,7 @@ def test_experiment_flow(tmp_path):
          "removed-shap-perms", "negative-model-seed", "negative-cafa-seed",
          "negative-surrogate-seed", "fractional-n-trees", "fractional-mtry", "fractional-k",
          "bool-k", "fractional-background", "fractional-n-locals", "fractional-max-depth",
-         "bool-n-trees", "fractional-max-attempts", "bool-pi"],
+         "bool-n-trees", "fractional-max-attempts", "bool-pi", "out-dir-not-str"],
 )
 def test_experiment_bad_section_exit_2(tmp_path, capsys, message, edit):
     doc = _experiment_config(tmp_path / "out")
@@ -313,6 +314,20 @@ def test_experiment_bad_section_exit_2(tmp_path, capsys, message, edit):
     cfg.write_text(json.dumps(doc))
     assert main(["experiment", str(cfg)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [("sample", "sample size must be in 1..250"), ("instance", "instance index 9999 out of range")],
+    ids=["sample", "instance"],
+)
+def test_experiment_checks_rows_before_it_writes(tmp_path, capsys, key, message):
+    out = tmp_path / "out"
+    cfg = tmp_path / "rows.json"
+    cfg.write_text(json.dumps({**_experiment_config(out), key: 9999}))
+    assert main(["experiment", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
@@ -379,7 +394,42 @@ def test_negative_seed_exit_2(ws, tmp_path, capsys):
         ["synth", "--kind", "covid", "--out", str(tmp_path / "c.csv")],
     ):
         assert main([*argv, "--seed", "-1"]) == 2, argv[0]
-        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flags, field",
+    [
+        ("explain", ["--k", "0"], "k"),
+        ("explain", ["--pi", "2"], "pi"),
+        ("explain", ["--background", "0"], "background_size"),
+        ("explain", ["--n-locals", "0"], "n_locals"),
+        ("explain", ["--surrogate-trees", "0"], "n_trees"),
+        ("explain", ["--surrogate-depth", "0"], "max_depth"),
+        ("train", ["--trees", "0"], "n_trees"),
+        ("train", ["--depth", "0"], "max_depth"),
+        ("train", ["--min-leaf", "0"], "min_leaf"),
+        ("train", ["--mtry", "0"], "features_per_split"),
+        ("synth", ["--rows", "0"], "n_rows"),
+        ("synth", ["--noise", "0.7"], "noise"),
+        ("synth", ["--controllable", "0", "--uncontrollable", "0"],
+         "m_controllable + m_uncontrollable"),
+    ],
+    ids=["k", "pi", "background", "n-locals", "surrogate-trees", "surrogate-depth", "trees",
+         "depth", "min-leaf", "mtry", "rows", "noise", "no-features"],
+)
+def test_rejected_flags_exit_2(ws, tmp_path, capsys, command, flags, field):
+    # a flag value its config type rejects is a usage error, caught before any file is written
+    data = ["--data", ws["data"], "--spec", ws["spec"]]
+    base = {
+        "explain": [*data, "--model", ws["model"], "--out-dir", str(tmp_path / "o"),
+                    "--instance", "0", *FAST],
+        "train": [*data, "--out", str(tmp_path / "m.json")],
+        "synth": ["--out", str(tmp_path / "s.csv"), "--spec-out", str(tmp_path / "s.json")],
+    }[command]
+    assert main([command, *base, *flags]) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_data_errors_exit_3(ws, tmp_path, capsys):
@@ -388,8 +438,6 @@ def test_data_errors_exit_3(ws, tmp_path, capsys):
                  "--model", ws["model"], "--out-dir", out, "--instance", "0"]) == 3
     assert main(["train", "--data", ws["data"], "--spec", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "m.json")]) == 3
-    assert main(["train", "--data", ws["data"], "--spec", ws["spec"],
-                 "--out", str(tmp_path / "m.json"), "--mtry", "0"]) == 3
     bad_spec = tmp_path / "bad_spec.json"
     for feats in ([{"kind": "cat"}], [{"name": "c0"}], [7], 7,
                   [{"name": "c0", "kind": "cat", "vocabulary": "012"}],
