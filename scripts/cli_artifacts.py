@@ -3,9 +3,10 @@
 
 Runs `cafa synth`, `train`, `explain --method cafa|shap|lime`, `global`,
 `compare` and `experiment` on the covid and lung presets, a default synth
-table and the shipped breast table. Each command runs in a fresh process
-whose PYTHONPATH is the given `src/` directory, inside the output directory
-and with paths relative to it, and its stdout goes to `commands.log`. Two
+table and the shipped breast table; the breast experiment reads that table
+through the `csv` dataset kind. Each command runs in a fresh process whose
+PYTHONPATH is the given `src/` directory, inside the output directory and
+with paths relative to it, and its stdout goes to `commands.log`. Two
 checkouts that write the same bytes then compare with one `diff -r`:
 
     python scripts/cli_artifacts.py path/to/a/src runs_a
@@ -54,6 +55,7 @@ COMMANDS = [
     ["train", *_data("breast"), "--out", "breast.model.json", "--trees", "40"],
     ["compare", *_run("breast", "--instance", "4", "--out-dir", "breast/compare")],
     ["experiment", "experiment.json"],
+    ["experiment", "breast_experiment.json"],
 ]
 
 EXPERIMENT = {
@@ -68,6 +70,17 @@ EXPERIMENT = {
     "seed": 1,
 }
 
+BREAST_EXPERIMENT = {
+    "dataset": {"kind": "csv", "path": "breast.csv", "spec": "breast.spec.json"},
+    "model": {"n_trees": 30, "max_depth": 6, "seed": 4},
+    "cafa": {"k": 40, "pi": "estimate", "background_size": 30,
+             "surrogate_params": {"n_trees": 20, "max_depth": 6}},
+    "sample": 3,
+    "instance": 4,
+    "out_dir": "breast/experiment",
+    "seed": 2,
+}
+
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -79,7 +92,8 @@ def main():
     out.mkdir(parents=True)
     shutil.copyfile(DATA / "breast_cancer.csv", out / "breast.csv")
     shutil.copyfile(DATA / "breast_cancer.spec.json", out / "breast.spec.json")
-    (out / "experiment.json").write_text(json.dumps(EXPERIMENT, indent=2) + "\n")
+    for name, doc in (("experiment", EXPERIMENT), ("breast_experiment", BREAST_EXPERIMENT)):
+        (out / f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n")
     env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve())}
     with open(out / "commands.log", "w", encoding="utf-8") as log:
         for argv in COMMANDS:

@@ -21,9 +21,9 @@ from .errors import CafaError, InvalidInputError, UsageError
 from .experiment import (
     _build,
     _cafa_config,
-    global_meta,
     load_dataset,
     run_experiment,
+    run_meta,
     sample_rows,
 )
 from .explain import derive_seed, lime_explain
@@ -189,35 +189,22 @@ def cmd_explain(args) -> int:
     x = validate_instance(data.schema, x)
     names = data.schema.names
 
-    meta = {
-        "command": f"explain.{args.method}",
-        "instance": args.instance,
-        "seed": args.seed,
-        "data": str(args.data),
-        "model": str(args.model),
-    }
+    fields = {"instance": args.instance, "seed": args.seed, "data": str(args.data),
+              "model": str(args.model)}
     per_row = None
     if args.method == "cafa":
         res = cafa_local(x, model, data.schema, cfg, data=data)
-        attr = res.attribution
-        per_row = res.per_row_phi
-        meta.update(
-            {
-                "config": cfg.to_dict(),
-                "pi": res.pi,
-                "neighborhood_stats": res.neighborhood.stats,
-                "surrogate_accuracy": res.surrogate_quality,
-                "zeros_enforced": [names[j] for j in data.schema.uncontrollable_idx],
-            }
-        )
+        attr, per_row = res.attribution, res.per_row_phi
+        zeros = [names[j] for j in data.schema.uncontrollable_idx]
+        meta = run_meta("explain.cafa", cfg, res, zeros_enforced=zeros, **fields)
     elif args.method == "shap":
         attr = standard_shap(x, model, data.schema, cfg, data=data)
-        meta["config"] = cfg.to_dict()
+        meta = run_meta("explain.shap", cfg, **fields)
     else:
         attr = lime_explain(
             model, x, data.schema, n_samples=args.lime_samples, seed=derive_seed(args.seed, 20)
         )
-        meta["n_samples"] = args.lime_samples
+        meta = run_meta("explain.lime", n_samples=args.lime_samples, **fields)
 
     out_dir = write_run(
         args.out_dir, attr, names, meta, per_row_phi=per_row, timestamp=args.timestamp
@@ -237,7 +224,7 @@ def cmd_global(args) -> int:
         res,
         data.schema.names,
         {"method": "cafa-global", "skipped": res.skipped, "pi": res.pi, "seed": args.seed},
-        global_meta("global", sample_idx, cfg, res),
+        run_meta("global", cfg, res, sample_rows=sample_idx.tolist()),
         timestamp=args.timestamp,
     )
     print(f"global attribution over {res.n_explained} instances written to {out_dir} "
@@ -256,14 +243,9 @@ def cmd_compare(args) -> int:
         args.out_dir,
         res.cafa.attribution,
         names,
-        {
-            "command": "compare",
-            "instance": args.instance,
-            "config": cfg.to_dict(),
-            "pi": res.cafa.pi,
-            "pearson_controllable": res.pearson_controllable,
-            "controllable": [names[j] for j in data.schema.controllable_idx],
-        },
+        run_meta("compare", cfg, instance=args.instance, pi=res.cafa.pi,
+                 pearson_controllable=res.pearson_controllable,
+                 controllable=[names[j] for j in data.schema.controllable_idx]),
         per_row_phi=res.cafa.per_row_phi,
         extra={"pearson_controllable": res.pearson_controllable},
         timestamp=args.timestamp,

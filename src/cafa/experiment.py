@@ -27,7 +27,9 @@ from . import bench
 from .errors import IngestionError, InvalidInputError, UsageError
 from .explain import derive_seed, global_explanation
 from .forest import ForestParams, accuracy, train_forest
-from .pipeline import CafaConfig, GlobalCafaResult, cafa_global, cafa_local, standard_shap
+from .pipeline import (
+    CafaConfig, CafaResult, GlobalCafaResult, cafa_global, cafa_local, standard_shap
+)
 from .reports import write_global_run, write_run, write_run_meta
 from .schema import IngestionSpec, integer, load_csv, read_json
 
@@ -54,12 +56,20 @@ def _int(value, key: str) -> int:
         raise UsageError(f"bad {key} config: {exc}") from None
 
 
+def _known_keys(section: str, doc: dict, keys) -> None:
+    """A key of ``doc`` that is not in ``keys`` is a usage error."""
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise UsageError(f"bad {section} config: unknown keys {', '.join(unknown)}")
+
+
 def load_dataset(ds_cfg: dict):
     """Resolve a dataset config to a Dataset; kinds: csv | synth | preset names."""
     if not isinstance(ds_cfg, dict):
         raise UsageError(f"dataset config must be a JSON object, got {ds_cfg!r}")
     kind = ds_cfg.get("kind")
     if kind == "csv":
+        _known_keys("dataset", ds_cfg, ("kind", "path", "spec"))
         missing = [k for k in ("path", "spec") if k not in ds_cfg]
         if missing:
             raise UsageError(f"dataset config of kind csv is missing: {', '.join(missing)}")
@@ -67,10 +77,10 @@ def load_dataset(ds_cfg: dict):
             if not isinstance(ds_cfg[key], str):
                 raise UsageError(f"dataset.{key} config must be a string, got {ds_cfg[key]!r}")
         return load_csv(ds_cfg["path"], IngestionSpec.from_json(ds_cfg["spec"]))
-    if kind == "covid_preset":
-        return bench.covid_preset(seed=_int(ds_cfg.get("seed", 0), "dataset.seed"))
-    if kind == "lung_preset":
-        return bench.lung_preset(seed=_int(ds_cfg.get("seed", 0), "dataset.seed"))
+    if kind in ("covid_preset", "lung_preset"):
+        _known_keys("dataset", ds_cfg, ("kind", "seed"))
+        preset = bench.covid_preset if kind == "covid_preset" else bench.lung_preset
+        return preset(seed=_int(ds_cfg.get("seed", 0), "dataset.seed"))
     if kind == "synth":
         fields = {k: v for k, v in ds_cfg.items() if k != "kind"}
         for key in ("kinds", "rule_features", "rule_weights"):
@@ -101,16 +111,19 @@ def sample_rows(n_rows: int, size: int, seed: int) -> np.ndarray:
     return np.sort(rng.choice(n_rows, size=size, replace=False))
 
 
-def global_meta(command: str, sample_idx, cfg: CafaConfig, res: GlobalCafaResult) -> dict:
-    """``run_meta.json`` of a ``cafa_global`` run over the sampled rows ``sample_idx``."""
-    return {
-        "command": command,
-        "sample_rows": [int(i) for i in sample_idx],
-        "config": cfg.to_dict(),
-        "pi": res.pi,
-        "n_explained": res.n_explained,
-        "skipped": res.skipped,
-    }
+def run_meta(command: str, cfg: CafaConfig | None = None, result=None, **fields) -> dict:
+    """The ``run_meta.json`` of one run: ``command``, ``cfg`` as ``config``,
+    what a ``CafaResult`` or ``GlobalCafaResult`` records about its π,
+    neighborhood and surrogate, and the command's own ``fields``."""
+    meta = {"command": command, **fields}
+    if cfg is not None:
+        meta["config"] = cfg.to_dict()
+    if isinstance(result, CafaResult):
+        meta.update(pi=result.pi, neighborhood_stats=result.neighborhood.stats,
+                    surrogate_accuracy=result.surrogate_quality)
+    elif isinstance(result, GlobalCafaResult):
+        meta.update(pi=result.pi, n_explained=result.n_explained, skipped=result.skipped)
+    return meta
 
 
 def run_experiment(config_path, timestamp: bool = False) -> Path:
@@ -124,6 +137,7 @@ def run_experiment(config_path, timestamp: bool = False) -> Path:
             f"experiment config missing keys: {', '.join(missing)} "
             f"(required: {', '.join(REQUIRED_KEYS)})"
         )
+    _known_keys("experiment", doc, (*REQUIRED_KEYS, "seed", "instance"))
 
     seed = _int(doc.get("seed", 0), "seed")
     instance_idx = _int(doc.get("instance", 0), "instance")
@@ -151,14 +165,7 @@ def run_experiment(config_path, timestamp: bool = False) -> Path:
         out_dir / "local" / "cafa",
         local_res.attribution,
         names,
-        {
-            "command": "experiment.local.cafa",
-            "instance": instance_idx,
-            "config": cfg.to_dict(),
-            "pi": local_res.pi,
-            "neighborhood_stats": local_res.neighborhood.stats,
-            "surrogate_accuracy": local_res.surrogate_quality,
-        },
+        run_meta("experiment.local.cafa", cfg, local_res, instance=instance_idx),
         per_row_phi=local_res.per_row_phi,
         extra={
             "zeros_enforced": [names[j] for j in schema.uncontrollable_idx],
@@ -172,7 +179,7 @@ def run_experiment(config_path, timestamp: bool = False) -> Path:
         out_dir / "local" / "shap",
         standard_shap(x, model, schema, cfg, data=data),
         names,
-        {"command": "experiment.local.shap", "instance": instance_idx, "config": cfg.to_dict()},
+        run_meta("experiment.local.shap", cfg, instance=instance_idx),
         timestamp=timestamp,
     )
 
@@ -184,7 +191,7 @@ def run_experiment(config_path, timestamp: bool = False) -> Path:
         gres,
         names,
         {"method": "cafa", "skipped": gres.skipped, **global_doc},
-        global_meta("experiment.global.cafa", sample_idx, cfg, gres),
+        run_meta("experiment.global.cafa", cfg, gres, sample_rows=sample_idx.tolist()),
         timestamp=timestamp,
     )
 
@@ -197,30 +204,15 @@ def run_experiment(config_path, timestamp: bool = False) -> Path:
         global_explanation(shap_attrs),
         names,
         {"method": "shap", "skipped": [], **global_doc},
-        {
-            "command": "experiment.global.shap",
-            "sample_rows": [int(i) for i in sample_idx],
-            "config": cfg.to_dict(),
-        },
+        run_meta("experiment.global.shap", cfg, sample_rows=sample_idx.tolist()),
         timestamp=timestamp,
     )
 
+    config = {"dataset": doc["dataset"], "model": model_params.to_dict(), "cafa": cfg.to_dict(),
+              "sample": n_sample, "instance": instance_idx, "out_dir": str(out_dir), "seed": seed}
     write_run_meta(
         out_dir / "run_meta.json",
-        {
-            "command": "experiment",
-            "config": {
-                "dataset": doc["dataset"],
-                "model": model_params.to_dict(),
-                "cafa": cfg.to_dict(),
-                "sample": n_sample,
-                "instance": instance_idx,
-                "out_dir": str(out_dir),
-                "seed": seed,
-            },
-            "train_accuracy": train_acc,
-            "n_rows": data.n_rows,
-            "n_features": len(names),
-        },
+        run_meta("experiment", config=config, train_accuracy=train_acc, n_rows=data.n_rows,
+                 n_features=len(names)),
     )
     return out_dir

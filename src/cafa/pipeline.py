@@ -90,7 +90,12 @@ class CafaConfig:
 
 @dataclass(frozen=True)
 class CafaResult:
-    """Local explanation output with enough state to audit it."""
+    """Local explanation output with enough state to audit it.
+
+    ``surrogate_quality`` (``surrogate_accuracy`` in reports) is the
+    surrogate's accuracy on its own training neighborhood, not held-out
+    fidelity: it reads near 1 even where a fresh neighborhood draw scores
+    much lower."""
 
     attribution: Attribution
     neighborhood: NeighborhoodSample

@@ -14,6 +14,7 @@ from cafa.forest import ForestParams, RandomForest
 from cafa.schema import dataset_to_raw_csv, ingestion_spec_for
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 FAST = [
     "--k", "25", "--pi", "0.5", "--n-perms", "4", "--background", "30",
@@ -86,6 +87,9 @@ def test_explain_cafa_artifacts_and_reruns(ws, tmp_path):
     by_name = {e["feature"]: e["value"] for e in doc["phi"]}
     assert by_name["u0"] == 0.0
     meta = _json(a / "run_meta.json")
+    assert set(meta) == {"command", "config", "data", "instance", "model", "neighborhood_stats",
+                         "pi", "seed", "surrogate_accuracy", "zeros_enforced"}
+    assert meta["command"] == "explain.cafa"
     assert meta["zeros_enforced"] == ["u0"]
     assert meta["config"]["seed"] == 7
 
@@ -105,6 +109,9 @@ def test_explain_shap(ws, tmp_path):
     doc = _json(out / "attribution.json")
     assert doc["method"] == "tree-shap"  # the model is a forest
     assert not (out / "summary.svg").exists()  # no per-row attributions here
+    meta = _json(out / "run_meta.json")
+    assert set(meta) == {"command", "config", "data", "instance", "model", "seed"}
+    assert meta["command"] == "explain.shap"
 
 
 def test_explain_lime(ws, tmp_path):
@@ -114,6 +121,9 @@ def test_explain_lime(ws, tmp_path):
                         "--lime-samples", "400") == 0
     assert _json(a / "attribution.json")["method"] == "lime"
     assert _read(a / "attribution.csv") == _read(b / "attribution.csv")
+    meta = _json(a / "run_meta.json")
+    assert set(meta) == {"command", "data", "instance", "model", "n_samples", "seed"}
+    assert meta["command"] == "explain.lime" and meta["n_samples"] == 400
 
 
 def test_explain_instance_from_json_file(ws, tmp_path):
@@ -295,6 +305,14 @@ def test_experiment_flow(tmp_path):
         ("cafa config: max_attempts", lambda d: d["cafa"].update(max_attempts=5000.5)),
         ("cafa config: pi must", lambda d: d["cafa"].update(pi=True)),
         ("out_dir config", lambda d: d.update(out_dir=5)),
+        ("experiment config: unknown keys sed", lambda d: d.update(sed=7)),
+        ("dataset config: unknown keys sed",
+         lambda d: d.update(dataset={"kind": "lung_preset", "sed": 5})),
+        ("dataset config: unknown keys n_rows",
+         lambda d: d.update(dataset={"kind": "covid_preset", "seed": 0, "n_rows": 100})),
+        ("dataset config: unknown keys sep", lambda d: d.update(dataset={
+            "kind": "csv", "path": str(DATA / "breast_cancer.csv"),
+            "spec": str(DATA / "breast_cancer.spec.json"), "sep": ";"})),
     ],
     ids=["dataset-key", "model-key", "model-not-object", "surrogate-key", "dataset-not-object",
          "csv-no-path-spec", "dataset-seed", "instance", "sample", "seed", "csv-spec-not-str",
@@ -305,7 +323,8 @@ def test_experiment_flow(tmp_path):
          "removed-shap-perms", "negative-model-seed", "negative-cafa-seed",
          "negative-surrogate-seed", "fractional-n-trees", "fractional-mtry", "fractional-k",
          "bool-k", "fractional-background", "fractional-n-locals", "fractional-max-depth",
-         "bool-n-trees", "fractional-max-attempts", "bool-pi", "out-dir-not-str"],
+         "bool-n-trees", "fractional-max-attempts", "bool-pi", "out-dir-not-str",
+         "top-level-key", "lung-preset-key", "covid-preset-key", "csv-key"],
 )
 def test_experiment_bad_section_exit_2(tmp_path, capsys, message, edit):
     doc = _experiment_config(tmp_path / "out")
@@ -314,6 +333,7 @@ def test_experiment_bad_section_exit_2(tmp_path, capsys, message, edit):
     cfg.write_text(json.dumps(doc))
     assert main(["experiment", str(cfg)]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
