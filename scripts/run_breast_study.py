@@ -16,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from cafa.bench import breast_ingestion_spec
 from cafa.distance import estimate_proximity
 from cafa.forest import ForestParams, accuracy, train_forest
 from cafa.pipeline import CafaConfig, compare_with_shap
 from cafa.reports import write_attribution_csv, write_attribution_json
+from cafa.schema import IngestionSpec, load_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,9 +32,8 @@ def main():
     ap.add_argument("--out-dir", default="runs/breast")
     args = ap.parse_args()
 
-    from cafa.schema import load_csv
-
-    data = load_csv(ROOT / "data" / "breast_cancer.csv", breast_ingestion_spec())
+    spec = IngestionSpec.from_json(ROOT / "data" / "breast_cancer.spec.json")
+    data = load_csv(ROOT / "data" / "breast_cancer.csv", spec)
     model = train_forest(data, ForestParams(n_trees=100, max_depth=8, seed=0))
     print(f"{data.n_rows} rows, training accuracy {accuracy(model, data):.3f}")
 

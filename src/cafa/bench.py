@@ -10,9 +10,10 @@ Three families:
   keeps growing; by construction the strongest drivers are the two planted
   top measures (contact restrictions, then public-event bans), while case
   counts, deaths, weather and region are observational context.
-* :func:`lung_preset` and :func:`breast_rows` mimic the shape of two
-  clinical tables (28 and 9 features); values are simulated but the
-  schemas, arities and class balance match the originals.
+* :func:`lung_preset` mimics the shape of a 28-feature clinical table:
+  values are simulated, the schema, arities and class balance match.
+
+:func:`breast_ingestion_spec` describes the shipped recurrence table.
 """
 
 from __future__ import annotations
@@ -351,18 +352,7 @@ def covid_preset(seed: int = 0) -> Dataset:
         )
 
     y = (score > np.median(score)).astype(np.int64)
-
-    X = np.empty_like(raw)
-    norm_params = []
-    for j, name in enumerate(names):
-        if schema.is_categorical[j]:
-            X[:, j] = raw[:, j]
-            norm_params.append(None)
-        else:
-            lo, hi = float(raw[:, j].min()), float(raw[:, j].max())
-            X[:, j] = (raw[:, j] - lo) / (hi - lo)
-            norm_params.append((lo, hi))
-    return Dataset(schema=schema, X=X, y=y, norm_params=tuple(norm_params))
+    return Dataset.from_raw(schema, raw, y)
 
 
 # ---------------------------------------------------------------------------
@@ -462,92 +452,9 @@ _BREAST_COLUMNS = (
     ("irradiat", ("0", "1"), True),
 )
 
-_BREAST_ROWS_TOTAL = 286
-_BREAST_POSITIVES = 85
-
 
 def breast_ingestion_spec() -> IngestionSpec:
     """Column spec with closed vocabularies for the 286-row table."""
     cols = (Feature(name, "cat", ctrl, vocabulary=vocab) for name, vocab, ctrl in _BREAST_COLUMNS)
     return IngestionSpec(label="class", columns=tuple(cols))
 
-
-def breast_rows(seed: int = 7) -> tuple:
-    """(header, rows) for the recurrence table, with a few missing cells.
-
-    Deterministic simulation matching the published table's shape: 286
-    rows, 85 recurrence cases, age and menopause outside the treatment
-    team's control but genuinely predictive (younger, premenopausal
-    patients recur more often here), so an unconstrained explainer must
-    attribute to them.
-    """
-    rng = np.random.default_rng(seed)
-    n = _BREAST_ROWS_TOTAL
-
-    age = rng.choice(6, size=n, p=[0.01, 0.13, 0.31, 0.33, 0.20, 0.02])
-    menopause = np.where(
-        age <= 2,
-        np.where(rng.random(n) < 0.92, 0, 1),
-        np.where(rng.random(n) < 0.85, 2, np.where(rng.random(n) < 0.5, 1, 0)),
-    )
-    deg_malig = rng.choice(3, size=n, p=[0.23, 0.45, 0.32]) + 1
-    tumor_size = np.clip(np.round(rng.normal(4.6 + 0.7 * (deg_malig - 1), 2.1)), 0, 11).astype(
-        np.int64
-    )
-    inv_raw = rng.geometric(0.42, size=n) - 1
-    inv_nodes = np.clip(inv_raw + (deg_malig == 3), 0, 12).astype(np.int64)
-    node_caps = (rng.random(n) < 0.04 + 0.09 * np.minimum(inv_nodes, 6)).astype(np.int64)
-    breast = rng.integers(0, 2, size=n)
-    breast_quad = rng.choice(5, size=n, p=[0.34, 0.38, 0.12, 0.08, 0.08])
-    irradiat = (rng.random(n) < 0.08 + 0.06 * np.minimum(inv_nodes, 8)).astype(np.int64)
-
-    score = (
-        1.0 * (deg_malig == 3)
-        + 0.3 * (deg_malig == 2)
-        + 0.17 * inv_nodes
-        + 0.09 * tumor_size
-        + 0.75 * node_caps
-        + 0.55 * (age <= 1)
-        + 0.25 * (age == 2)
-        + 0.4 * (menopause == 0)
-        - 0.3 * irradiat
-        + 0.12 * (breast_quad == 0)
-        + rng.normal(0.0, 0.6, size=n)
-    )
-    order = np.argsort(-score, kind="stable")
-    y = np.zeros(n, dtype=np.int64)
-    y[order[:_BREAST_POSITIVES]] = 1
-
-    cols = {
-        "age": np.array(("20", "30", "40", "50", "60", "70"))[age],
-        "menopause": menopause.astype(str),
-        "tumor_size": tumor_size.astype(str),
-        "inv_nodes": inv_nodes.astype(str),
-        "node_caps": node_caps.astype(str),
-        "deg_malig": deg_malig.astype(str),
-        "breast": breast.astype(str),
-        "breast_quad": breast_quad.astype(str),
-        "irradiat": irradiat.astype(str),
-    }
-    header = [name for name, _, _ in _BREAST_COLUMNS] + ["class"]
-    rows = []
-    missing_node_caps = set(rng.choice(n, size=8, replace=False).tolist())
-    missing_quad = set(rng.choice(n, size=1, replace=False).tolist())
-    for i in range(n):
-        row = [cols[name][i] for name, _, _ in _BREAST_COLUMNS]
-        if i in missing_node_caps:
-            row[4] = "?"
-        if i in missing_quad:
-            row[7] = "?"
-        rows.append(row + [str(y[i])])
-    return header, rows
-
-
-def write_breast_csv(path, seed: int = 7) -> None:
-    import csv
-
-    header, rows = breast_rows(seed)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)

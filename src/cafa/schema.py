@@ -252,6 +252,23 @@ class Dataset:
         )
         return cls(schema, np.asarray(X, dtype=np.float64), np.asarray(y), params)
 
+    @classmethod
+    def from_raw(cls, schema, raw, y, label_values=None) -> "Dataset":
+        """Min-max scale the continuous columns of ``raw`` into [0, 1], recording each
+        ``(min, max)``; categorical columns hold codes. A constant one is an error."""
+        X = np.array(raw, dtype=np.float64)
+        params = []
+        for j, f in enumerate(schema.features):
+            if f.is_categorical:
+                params.append(None)
+                continue
+            lo, hi = float(X[:, j].min()), float(X[:, j].max())
+            if not lo < hi:
+                raise InvalidInputError(f"column {f.name!r}: constant continuous column")
+            X[:, j] = (X[:, j] - lo) / (hi - lo)
+            params.append((lo, hi))
+        return cls(schema, X, y, tuple(params), label_values=label_values)
+
     @property
     def n_rows(self) -> int:
         return self.X.shape[0]
@@ -286,6 +303,8 @@ class IngestionSpec:
     def __post_init__(self):
         if not self.columns:
             raise IngestionError("ingestion spec declares no feature columns")
+        if any(c.name == self.label for c in self.columns):
+            raise IngestionError(f"ingestion spec reads label {self.label!r} as a feature")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "IngestionSpec":
@@ -348,8 +367,9 @@ def load_csv(path, spec: IngestionSpec) -> Dataset:
     otherwise from the sorted distinct values in the file). Missing cells
     (``?``) are imputed with the column mode (categorical) or median
     (continuous). Raises :class:`IngestionError` on a file that cannot be
-    read or is not UTF-8, malformed input, unknown closed-vocabulary
-    categories, or constant continuous columns.
+    read or is not UTF-8, malformed input, a spec column named twice in the
+    header, a missing label, unknown closed-vocabulary categories, or
+    constant continuous columns.
     """
     path = Path(path)
     try:
@@ -371,6 +391,8 @@ def load_csv(path, spec: IngestionSpec) -> Dataset:
     for name in [spec.label] + [c.name for c in spec.columns]:
         if name not in header:
             raise IngestionError(f"{path}: column {name!r} not found in header")
+        if header.count(name) > 1:
+            raise IngestionError(f"{path}: column {name!r} appears more than once in header")
         col_index[name] = header.index(name)
 
     if not rows:
@@ -384,7 +406,10 @@ def load_csv(path, spec: IngestionSpec) -> Dataset:
             raise IngestionError(
                 f"{path}: row {r}: expected {n_cols} cells, got {len(row)}"
             )
-        raw_labels.append(row[col_index[spec.label]].strip())
+        label = row[col_index[spec.label]].strip()
+        if label == MISSING_CELL:
+            raise IngestionError(f"{path}: row {r}: missing label")
+        raw_labels.append(label)
         for c in spec.columns:
             raw[c.name].append(row[col_index[c.name]].strip())
 
@@ -392,7 +417,6 @@ def load_csv(path, spec: IngestionSpec) -> Dataset:
     m = len(spec.columns)
     X = np.empty((n, m), dtype=np.float64)
     features = []
-    norm_params = []
 
     for j, c in enumerate(spec.columns):
         cells = raw[c.name]
@@ -411,7 +435,6 @@ def load_csv(path, spec: IngestionSpec) -> Dataset:
                     )
                 X[r, j] = code[v]
             features.append(replace(c, vocabulary=vocab))
-            norm_params.append(None)
         else:
             parsed = np.full(n, np.nan)
             for r, v in enumerate(cells):
@@ -428,14 +451,8 @@ def load_csv(path, spec: IngestionSpec) -> Dataset:
             if present.size == 0:
                 raise IngestionError(f"{path}: column {c.name!r}: all values missing")
             parsed[np.isnan(parsed)] = float(np.median(present))
-            lo, hi = float(parsed.min()), float(parsed.max())
-            if not lo < hi:
-                raise IngestionError(
-                    f"{path}: column {c.name!r}: constant continuous column"
-                )
-            X[:, j] = (parsed - lo) / (hi - lo)
+            X[:, j] = parsed
             features.append(c)
-            norm_params.append((lo, hi))
 
     label_values = tuple(_sort_values(set(raw_labels)))
     if len(label_values) < 2:
@@ -444,7 +461,10 @@ def load_csv(path, spec: IngestionSpec) -> Dataset:
     y = np.array([label_code[v] for v in raw_labels], dtype=np.int64)
 
     schema = FeatureSchema(features)
-    return Dataset(schema, X, y, tuple(norm_params), label_values=label_values)
+    try:
+        return Dataset.from_raw(schema, X, y, label_values)
+    except InvalidInputError as exc:
+        raise IngestionError(f"{path}: {exc}") from None
 
 
 def encode_instance(schema: FeatureSchema, norm_params, raw: dict) -> np.ndarray:

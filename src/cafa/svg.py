@@ -14,6 +14,7 @@ import numpy as np
 from .explain import rank_by_magnitude
 
 _FONT = "font-family='Helvetica,Arial,sans-serif'"
+_WIDTH = 640
 _POS = "#d94801"
 _NEG = "#2171b5"
 _GRID = "#cccccc"
@@ -32,17 +33,17 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _header(width: int, height: int, title: str, timestamp: bool) -> list:
+def _header(height: int, title: str, timestamp: bool) -> list:
     parts = [
-        f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' height='{height}' "
-        f"viewBox='0 0 {width} {height}'>"
+        f"<svg xmlns='http://www.w3.org/2000/svg' width='{_WIDTH}' height='{height}' "
+        f"viewBox='0 0 {_WIDTH} {height}'>"
     ]
     if timestamp:
         now = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
         parts.append(f"<!-- generated {now} -->")
-    parts.append(f"<rect width='{width}' height='{height}' fill='white'/>")
+    parts.append(f"<rect width='{_WIDTH}' height='{height}' fill='white'/>")
     parts.append(
-        f"<text x='{width / 2}' y='24' text-anchor='middle' {_FONT} "
+        f"<text x='{_WIDTH / 2}' y='24' text-anchor='middle' {_FONT} "
         f"font-size='15' fill='{_TEXT}'>{_escape(title)}</text>"
     )
     return parts
@@ -52,7 +53,6 @@ def bar_chart(
     names,
     values,
     title: str = "Feature attribution",
-    width: int = 640,
     timestamp: bool = False,
 ) -> str:
     """Horizontal signed bar chart, one row per feature, order preserved."""
@@ -66,11 +66,11 @@ def bar_chart(
     label_w = 150
     height = top + row_h * len(names) + 30
     span = max(float(np.max(np.abs(values))), 1e-12)
-    plot_w = width - label_w - 80
+    plot_w = _WIDTH - label_w - 80
     x0 = label_w + plot_w / 2.0
     scale = (plot_w / 2.0) / span
 
-    parts = _header(width, height, title, timestamp)
+    parts = _header(height, title, timestamp)
     parts.append(
         f"<line x1='{x0}' y1='{top - 8}' x2='{x0}' y2='{top + row_h * len(names)}' "
         f"stroke='{_GRID}' stroke-width='1'/>"
@@ -102,7 +102,6 @@ def summary_chart(
     names,
     per_instance_phi,
     title: str = "Attribution summary",
-    width: int = 640,
     timestamp: bool = False,
 ) -> str:
     """Strip plot of per-instance attributions per feature plus mean marker.
@@ -122,11 +121,11 @@ def summary_chart(
     label_w = 150
     height = top + row_h * len(names) + 30
     span = max(float(np.max(np.abs(phis))), 1e-12)
-    plot_w = width - label_w - 40
+    plot_w = _WIDTH - label_w - 40
     x0 = label_w + plot_w / 2.0
     scale = (plot_w / 2.0) / span
 
-    parts = _header(width, height, title, timestamp)
+    parts = _header(height, title, timestamp)
     parts.append(
         f"<line x1='{x0}' y1='{top - 8}' x2='{x0}' y2='{top + row_h * len(names)}' "
         f"stroke='{_GRID}' stroke-width='1'/>"

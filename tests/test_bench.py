@@ -8,14 +8,12 @@ import pytest
 from cafa.bench import (
     SynthSpec,
     breast_ingestion_spec,
-    breast_rows,
     covid_preset,
     covid_schema,
     generate_synth,
     lung_preset,
     lung_schema,
     train_test_split,
-    write_breast_csv,
 )
 from cafa.errors import InvalidInputError
 from cafa.forest import ForestParams, RandomForest, accuracy, train_forest
@@ -211,27 +209,6 @@ def test_lung_categorical_columns_are_skewed():
     j = data.schema.names.index("regimen")
     counts = np.bincount(data.X[:, j].astype(int), minlength=9)
     assert counts[0] > counts[8] * 2  # low codes dominate, registry-style
-
-
-# -- recurrence table --------------------------------------------------------
-
-
-def test_breast_rows_shape():
-    header, rows = breast_rows()
-    assert header[-1] == "class" and len(header) == 10
-    assert len(rows) == 286
-    assert sum(int(r[-1]) for r in rows) == 85
-    assert sum(r[4] == "?" for r in rows) == 8  # node_caps gaps
-    assert sum(r[7] == "?" for r in rows) == 1  # breast_quad gap
-    spec = breast_ingestion_spec()
-    assert spec.label == "class"
-    assert [c.name for c in spec.columns] == header[:-1]
-
-
-def test_shipped_breast_csv_matches_generator(tmp_path):
-    out = tmp_path / "regen.csv"
-    write_breast_csv(out)
-    assert out.read_bytes() == (DATA_DIR / "breast_cancer.csv").read_bytes()
 
 
 # -- feature entries ---------------------------------------------------------

@@ -469,6 +469,23 @@ def test_data_errors_exit_3(ws, tmp_path, capsys):
     assert "feature name must be a string" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header, row, tail, features, message", [
+    ("a,class", "{i},{y}", "", ["a", "class"], "label 'class' as a feature"),
+    ("a,class", "{i},{y}", "12,?\n13,?\n", ["a"], "row 14: missing label"),
+    ("a,a,class", "{i},{i},{y}", "", ["a"], "'a' appears more than once"),
+], ids=["label_as_feature", "missing_label", "duplicate_header"])
+def test_ingestion_faults_exit_3_without_a_model(tmp_path, capsys, header, row, tail, features,
+                                                 message):
+    data, spec, model = tmp_path / "d.csv", tmp_path / "s.json", tmp_path / "m.json"
+    rows = "".join(row.format(i=i, y=i % 2) + "\n" for i in range(12))
+    data.write_text(f"{header}\n{rows}{tail}")
+    spec.write_text(json.dumps({"label": "class",
+                                "features": [{"name": f, "kind": "cont"} for f in features]}))
+    assert main(["train", "--data", str(data), "--spec", str(spec), "--out", str(model)]) == 3
+    assert message in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_string_controllable_flag_exits_3_and_4(ws, tmp_path, capsys):
     spec = _json(Path(ws["spec"]))
     spec["features"][0]["controllable"] = "false"

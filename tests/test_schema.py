@@ -300,6 +300,34 @@ def test_single_column_file_errors():
         IngestionSpec(label="class", columns=())
 
 
+def test_spec_reading_its_label_as_a_feature_errors():
+    # "controllable" defaults to true, so the label would become a lever
+    feats = [{"name": "a", "kind": "cont"}, {"name": "class", "kind": "cat"}]
+    with pytest.raises(IngestionError, match="label 'class' as a feature"):
+        IngestionSpec.from_dict({"label": "class", "features": feats})
+
+
+def test_missing_label_names_line(tmp_path):
+    p = _write(tmp_path, "v,class\n1,a\n2,b\n3,?\n")
+    spec = IngestionSpec(label="class", columns=(Feature("v", "cont", True),))
+    with pytest.raises(IngestionError, match="row 4: missing label"):
+        load_csv(p, spec)
+
+
+@pytest.mark.parametrize("header", ["v,v,class", "v,class,class"])
+def test_spec_column_named_twice_in_header_errors(tmp_path, header):
+    p = _write(tmp_path, f"{header}\n1,2,a\n3,4,b\n")
+    spec = IngestionSpec(label="class", columns=(Feature("v", "cont", True),))
+    with pytest.raises(IngestionError, match="more than once in header"):
+        load_csv(p, spec)
+
+
+def test_unread_column_named_twice_in_header_is_ignored(tmp_path):
+    p = _write(tmp_path, "x,x,v,class\n0,0,1,a\n0,0,3,b\n")
+    spec = IngestionSpec(label="class", columns=(Feature("v", "cont", True),))
+    assert list(load_csv(p, spec).X[:, 0]) == [0.0, 1.0]
+
+
 def test_min_max_scaling_forced(tmp_path):
     p = _write(tmp_path, "v,class\n2,a\n4,b\n6,a\n")
     spec = IngestionSpec(label="class", columns=(Feature("v", "cont", True),))
@@ -334,8 +362,21 @@ def test_unknown_closed_category(tmp_path):
 def test_constant_continuous_column(tmp_path):
     p = _write(tmp_path, "v,class\n3,a\n3,b\n")
     spec = IngestionSpec(label="class", columns=(Feature("v", "cont", True),))
-    with pytest.raises(IngestionError, match="constant"):
+    with pytest.raises(IngestionError, match="constant") as err:
         load_csv(p, spec)
+    assert str(err.value) == f"{p}: column 'v': constant continuous column"
+
+
+def test_from_raw_scales_continuous_columns_and_keeps_codes():
+    schema = make_schema(["cont", 3, "cont"])
+    raw = np.array([[2.0, 0, -1.0], [6.0, 2, 1.0], [4.0, 1, 0.0]])
+    data = Dataset.from_raw(schema, raw, [0, 1, 0], label_values=("no", "yes"))
+    assert data.X.tolist() == [[0.0, 0, 0.0], [1.0, 2, 1.0], [0.5, 1, 0.5]]
+    assert data.norm_params == ((2.0, 6.0), None, (-1.0, 1.0))
+    assert data.label_values == ("no", "yes")
+    assert raw[0, 0] == 2.0  # the caller's array is not scaled in place
+    with pytest.raises(InvalidInputError, match="column 'f1': constant continuous column"):
+        Dataset.from_raw(make_schema(["cont", "cont"]), [[0, 5], [1, 5], [2, 5]], [0, 1, 0])
 
 
 def test_missing_column_and_file(tmp_path):
