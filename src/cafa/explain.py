@@ -168,17 +168,18 @@ def shapley_mc(f, x, bg: Background, n_perms: int = 2000, seed: int = 0) -> Attr
 def _forest_paths(forest):
     """Root-to-leaf paths of the leaves with a positive class-1 value.
 
-    Returns the forest's node fields (``feature``, ``threshold``,
-    ``is_cat``), ``path``, the ``(L, D)`` node indices of each leaf's tests
-    padded with -1 to the forest depth ``D``, ``went_left``, whether the
-    path takes each node's left branch, and ``v``, the leaf's class-1
+    Returns the forest's node fields (``feature``, ``threshold``, and
+    ``is_cat`` as ``RandomForest.is_cat`` derives it), ``path``, the
+    ``(L, D)`` node indices of each leaf's tests padded with -1 to the
+    forest depth ``D``, ``went_left``, whether the path takes each node's
+    left branch (to the next record), and ``v``, the leaf's class-1
     probability divided by the tree count. Leaves with ``v == 0`` add
     nothing to any Shapley value and are dropped.
     """
     nodes, starts = forest.nodes, forest.starts
     offset = np.repeat(starts[:-1], np.diff(starts))
     feature = nodes["feature"]
-    left = nodes["left"] + offset
+    # A split's left child is the next record; its right one is tree-local.
     right = nodes["right"] + offset
     value = forest.leaf_prob[:, 1] / (starts.size - 1)
     D = int(forest.depths.max())
@@ -196,12 +197,12 @@ def _forest_paths(forest):
         lefts.append(np.pad(went_left[keep], ((0, 0), (0, D - d))))
         inner = ~at_leaf
         parent = node[inner]
-        node = np.concatenate([left[parent], right[parent]])
+        node = np.concatenate([parent + 1, right[parent]])
         path = np.tile(np.column_stack([path[inner], parent]), (2, 1))
         went_left = np.column_stack([
             np.tile(went_left[inner], (2, 1)), np.repeat([True, False], parent.size),
         ])
-    return (feature, nodes["threshold"], nodes["is_cat"], np.concatenate(paths),
+    return (feature, nodes["threshold"], forest.is_cat, np.concatenate(paths),
             np.concatenate(lefts), value[np.concatenate(leaves)])
 
 

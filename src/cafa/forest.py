@@ -58,12 +58,24 @@ _WALK_BYTES = 64 * 1024
 
 
 @functools.lru_cache(maxsize=None)
-def _node_dtype(n_classes: int, index: type, value: type, threshold: type) -> np.dtype:
-    """Record of one tree node: its split test, children and class values."""
+def _node_dtype(n_classes: int, feature: type, right: type, value: type,
+                threshold: type) -> np.dtype:
+    """Record of one tree node: its split feature, right child, threshold and
+    class values. The left child and the kind of test are not stored: a
+    split's left child is the next record, and its test is categorical iff
+    its feature is."""
     return np.dtype([
-        ("feature", index), ("left", index), ("right", index), ("is_cat", np.bool_),
-        ("threshold", threshold), ("value", value, (n_classes,)),
+        ("feature", feature), ("right", right), ("threshold", threshold),
+        ("value", value, (n_classes,)),
     ])
+
+
+def _is_cat(feature: np.ndarray, is_categorical: np.ndarray) -> np.ndarray:
+    """Read-only flags of whether each node's test is categorical: true on a
+    split over a categorical feature, false on a leaf (``feature < 0``)."""
+    is_cat = is_categorical.take(feature) & (feature >= 0)
+    is_cat.flags.writeable = False
+    return is_cat
 
 
 def _prob(value: np.ndarray) -> np.ndarray:
@@ -95,27 +107,28 @@ def _threshold_type(threshold: np.ndarray) -> type:
     return np.float64
 
 
-def _records(feature, is_cat, threshold, left, right, value) -> np.ndarray:
+def _records(feature, threshold, right, value) -> np.ndarray:
     """The nodes of one tree, or of trees in turn, as one read-only record array.
 
     ``value`` holds class probabilities (floats) or class counts, which
     take the narrowest unsigned type that holds them. Thresholds take
     uint8 or uint16 when every one of them is a category code that fits
     (as in a forest that splits only on categorical features), else
-    float64. Indices are int16 when every feature and child index fits,
-    else int32; a tree's last node is a leaf that points to itself, so its
-    children reach its largest node index.
+    float64. ``feature`` and ``right`` each take the narrowest of int8,
+    int16 and int32 that holds them; a tree's last node is a leaf that
+    points to itself, so ``right`` reaches its largest node index.
     """
-    feature, left, right = (np.asarray(a) for a in (feature, left, right))
+    feature, right = np.asarray(feature), np.asarray(right)
     value_type = np.float64
     if value.dtype.kind != "f":
         value_type = _narrowest(value.max(), (np.uint8, np.uint16, np.uint32, np.uint64))
     threshold = np.asarray(threshold, dtype=np.float64)
-    index = _narrowest(max(feature.max(), left.max(), right.max()), (np.int16, np.int32))
-    dtype = _node_dtype(value.shape[1], index, value_type, _threshold_type(threshold))
+    signed = (np.int8, np.int16, np.int32)
+    dtype = _node_dtype(value.shape[1], _narrowest(feature.max(), signed),
+                        _narrowest(right.max(), signed), value_type, _threshold_type(threshold))
     nodes = np.empty(len(feature), dtype=dtype)
-    for name, field in (("feature", feature), ("left", left), ("right", right),
-                        ("is_cat", is_cat), ("threshold", threshold), ("value", value)):
+    for name, field in (("feature", feature), ("right", right), ("threshold", threshold),
+                        ("value", value)):
         nodes[name] = field
     nodes.flags.writeable = False
     return nodes
@@ -125,18 +138,23 @@ class Tree:
     """Read-only view of one tree's records in a forest's node table.
 
     ``RandomForest.trees`` makes one per tree on each access. Node ``i`` is
-    record ``i``: its split ``feature`` (``-1`` marks a leaf), ``is_cat``,
-    ``threshold``, ``left`` and ``right`` children, and its class
-    probabilities ``leaf_prob``. Leaves point to themselves. ``depth`` is
-    the number of tests on the tree's longest path. Fields take the
-    forest table's types; ``to_dict`` writes thresholds as floats and
-    class counts as probabilities.
+    record ``i``: its split ``feature`` (``-1`` marks a leaf),
+    ``threshold``, ``right`` child and class probabilities ``leaf_prob``.
+    Nodes are numbered in preorder, so a split's ``left`` child is node
+    ``i + 1``; leaves point to themselves. ``is_cat`` is true on a split
+    over a categorical feature of ``is_categorical`` (the schema's flags).
+    ``left`` and ``is_cat`` are derived on each access, not stored.
+    ``depth`` is the number of tests on the tree's longest path. Fields
+    take the forest table's types (``left`` that of ``right``);
+    ``to_dict`` writes thresholds as floats and class counts as
+    probabilities.
     """
 
-    __slots__ = ("_nodes", "depth")
+    __slots__ = ("_nodes", "_is_categorical", "depth")
 
-    def __init__(self, nodes: np.ndarray, depth: int):
+    def __init__(self, nodes: np.ndarray, depth: int, is_categorical: np.ndarray):
         self._nodes = nodes
+        self._is_categorical = is_categorical
         self.depth = depth
 
     @property
@@ -145,7 +163,7 @@ class Tree:
 
     @property
     def is_cat(self) -> np.ndarray:
-        return self._nodes["is_cat"]
+        return _is_cat(self.feature, self._is_categorical)
 
     @property
     def threshold(self) -> np.ndarray:
@@ -153,7 +171,9 @@ class Tree:
 
     @property
     def left(self) -> np.ndarray:
-        return self._nodes["left"]
+        left = np.arange(self._nodes.size, dtype=self.right.dtype) + (self.feature >= 0)
+        left.flags.writeable = False
+        return left
 
     @property
     def right(self) -> np.ndarray:
@@ -174,14 +194,16 @@ class Tree:
         }
 
 
-def _decode_tree(doc: dict, arity: int, n_classes: int) -> tuple[np.ndarray, int]:
+def _decode_tree(doc: dict, schema: FeatureSchema, n_classes: int) -> tuple[np.ndarray, int]:
     """Records and depth of a tree document whose nodes are numbered as the
-    builder numbers them: every node but the root is the child of exactly
-    one node with a lower index, and a leaf (``feature < 0``) points to
-    itself. Every node has a ``feature`` in ``[-1, arity)``, ``left`` and
-    ``right`` as JSON integers, an ``is_cat`` boolean (or 0/1), a finite
-    ``threshold`` and a ``leaf_prob`` row of ``n_classes`` numbers, each
-    finite and >= 0; a leaf's row sums to 1 within ``_PROB_TOL``.
+    builder numbers them, in preorder: a split's ``left`` child is the next
+    node, its ``right`` child the node after its left subtree, and a leaf
+    (``feature < 0``) points to itself. Every node has a ``feature`` in
+    ``[-1, arity)``, ``left`` and ``right`` as JSON integers, an ``is_cat``
+    boolean (or 0/1) that is true exactly on a split over a categorical
+    feature, a finite ``threshold`` and a ``leaf_prob`` row of
+    ``n_classes`` numbers, each finite and >= 0; a leaf's row sums to 1
+    within ``_PROB_TOL``.
     """
     ints = [doc[key] for key in ("feature", "left", "right")]
     if not all(type(v) is int for v in itertools.chain(*ints)):
@@ -199,28 +221,32 @@ def _decode_tree(doc: dict, arity: int, n_classes: int) -> tuple[np.ndarray, int
             == threshold.shape == left.shape == right.shape == leaf_prob.shape[:1]):
         raise ModelFormatError("a tree needs one feature, is_cat, threshold, left, right and "
                                "leaf_prob entry per node")
-    node = np.arange(feature.size)
-    leaf = feature < 0
-    child_ok = np.where(leaf, (left == node) & (right == node), (left > node) & (right > node))
-    children = np.sort(np.concatenate([left[~leaf], right[~leaf]]))
-    if not (child_ok.all() and np.array_equal(children, node[1:])):
+    # Walked depth first, left before right, the tree must reach its nodes
+    # in index order; the walk also gives each node's level.
+    level = [0] * feature.size
+    stack = [(0, 0)]
+    for i, (f, a, b) in enumerate(zip(feature.tolist(), left.tolist(), right.tolist())):
+        if not stack or stack[-1][0] != i or (f < 0 and (a, b) != (i, i)):
+            raise ModelFormatError("tree nodes are not numbered depth first")
+        level[i] = stack.pop()[1]
+        if f >= 0:
+            stack += [(b, level[i] + 1), (a, level[i] + 1)]
+    if stack:
         raise ModelFormatError("tree nodes are not numbered depth first")
-    if feature.min() < -1 or feature.max() >= arity:
+    if feature.min() < -1 or feature.max() >= schema.arity:
         raise ModelFormatError("tree splits on a feature outside the schema")
+    if not np.array_equal(is_cat, _is_cat(feature, schema.is_categorical)):
+        raise ModelFormatError("tree is_cat entries must be true exactly on splits over a "
+                               "categorical feature")
     if not np.isfinite(threshold).all():
         raise ModelFormatError("tree thresholds must be finite")
     if leaf_prob.shape[1] != n_classes:
         raise ModelFormatError(f"tree leaf_prob rows must hold {n_classes} classes")
     if not (np.isfinite(leaf_prob).all() and (leaf_prob >= 0.0).all()):
         raise ModelFormatError("tree leaf_prob values must be finite and >= 0")
-    if (np.abs(leaf_prob[leaf].sum(axis=1) - 1.0) > _PROB_TOL).any():
+    if (np.abs(leaf_prob[feature < 0].sum(axis=1) - 1.0) > _PROB_TOL).any():
         raise ModelFormatError(f"a leaf's leaf_prob row must sum to 1 within {_PROB_TOL}")
-    # Parents come before their children, so one pass in node order works.
-    level = [0] * feature.size
-    for i, (f, a, b) in enumerate(zip(feature.tolist(), left.tolist(), right.tolist())):
-        if f >= 0:
-            level[a] = level[b] = level[i] + 1
-    return _records(feature, is_cat, threshold, left, right, leaf_prob), max(level)
+    return _records(feature, threshold, right, leaf_prob), max(level)
 
 
 def _sum_classes(a):
@@ -271,25 +297,20 @@ class _TreeBuilder:
         self.classes = np.arange(n_classes)[:, None, None]
         self.depth = 0
         self.feature = []
-        self.is_cat = []
         self.threshold = []
-        self.left = []
         self.right = []
         self.counts = []
 
     def build(self) -> np.ndarray:
         """The tree's records, holding class counts; ``depth`` is its depth."""
         self._grow(np.arange(self.XT.shape[1]), depth=0)
-        return _records(self.feature, self.is_cat, self.threshold,
-                        self.left, self.right, np.vstack(self.counts))
+        return _records(self.feature, self.threshold, self.right, np.vstack(self.counts))
 
     def _grow(self, idx, depth) -> int:
         node = len(self.feature)
         self.depth = max(self.depth, depth)
         self.feature.append(-1)
-        self.is_cat.append(False)
         self.threshold.append(0.0)
-        self.left.append(node)
         self.right.append(node)
         y_node = self.y[idx]
         counts = np.bincount(y_node, minlength=self.n_classes)
@@ -308,9 +329,8 @@ class _TreeBuilder:
         v = self.XT[f].take(idx)
         mask = (v == thr) if cat else (v <= thr)
         self.feature[node] = f
-        self.is_cat[node] = cat
         self.threshold[node] = thr
-        self.left[node] = self._grow(idx[mask], depth + 1)
+        self._grow(idx[mask], depth + 1)  # the left child, node + 1
         self.right[node] = self._grow(idx[~mask], depth + 1)
         return node
 
@@ -374,17 +394,19 @@ class RandomForest:
     """Bagged decision trees plus the schema they were trained against.
 
     The trees' node records live in one read-only table, ``nodes``, tree
-    after tree, with each tree's children numbered within the tree. Tree
-    ``t`` is records ``starts[t]`` to ``starts[t + 1]`` and has depth
-    ``depths[t]``. ``trees`` makes a ``Tree`` view of each on access.
+    after tree, with each tree's right children numbered within the tree
+    (a split's left child is the next record). Tree ``t`` is records
+    ``starts[t]`` to ``starts[t + 1]`` and has depth ``depths[t]``.
+    ``trees`` makes a ``Tree`` view of each on access, and ``is_cat``
+    derives every node's kind of test from ``schema``.
     ``train_forest`` (class counts) and ``from_dict`` (probabilities) pass
     each tree's packed records and depth.
     """
 
     # Every result keeps its surrogate alive, so a forest holds three arrays
-    # and no per-instance dict. A covid-local surrogate's node takes 10
-    # bytes: int16 feature and children, the flag, a uint8 threshold and two
-    # uint8 class counts (17 with a float64 threshold).
+    # and no per-instance dict. A covid-local surrogate's node takes 5
+    # bytes: an int8 feature and right child, a uint8 threshold and two
+    # uint8 class counts (12 with a float64 threshold, as on lung).
     __slots__ = ("nodes", "starts", "depths", "params", "schema", "n_classes",
                  "norm_params", "label_values")
 
@@ -392,7 +414,7 @@ class RandomForest:
                  n_classes: int, norm_params: tuple | None = None,
                  label_values: tuple | None = None):
         self.nodes = _records(*(np.concatenate([r[name] for r in records]) for name in
-                                ("feature", "is_cat", "threshold", "left", "right", "value")))
+                                ("feature", "threshold", "right", "value")))
         self.starts = np.cumsum([0] + [r.size for r in records])
         self.depths = np.array(depths)
         self.starts.flags.writeable = self.depths.flags.writeable = False
@@ -406,7 +428,7 @@ class RandomForest:
     def trees(self) -> list:
         """A ``Tree`` view of each tree's records, made on each access."""
         bounds = self.starts.tolist()
-        return [Tree(self.nodes[a:b], d)
+        return [Tree(self.nodes[a:b], d, self.schema.is_categorical)
                 for a, b, d in zip(bounds, bounds[1:], self.depths.tolist())]
 
     @property
@@ -414,37 +436,51 @@ class RandomForest:
         """Every node's class probabilities, in ``nodes`` order."""
         return _prob(self.nodes["value"])
 
+    @property
+    def is_cat(self) -> np.ndarray:
+        """Whether every node's test is categorical, in ``nodes`` order."""
+        return _is_cat(self.nodes["feature"], self.schema.is_categorical)
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Class probabilities for a batch of normalized instances.
 
         All trees are walked at once: a tree-major ``(trees, rows)`` matrix of
         node indices, in chunks of rows of about ``_WALK_BYTES``, gathers
-        whole records one level per step. Leaf probabilities are added in
-        tree order, as a running sum along the tree axis.
+        whole records one level per step. A test's kind comes from its
+        feature, and a split's left child is the next record. Leaf
+        probabilities are added in tree order, as a running sum along the
+        tree axis.
         """
-        X = np.ascontiguousarray(X, dtype=np.float64)
+        X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.schema.arity:
             raise InvalidInputError("prediction batch does not match schema arity")
         n, m = X.shape
+        # Each row gets a last cell, NaN, which a leaf's feature (-1) reads
+        # from the row before it (or, in the first row, from the last). No
+        # test sends NaN left, and a leaf's right child is itself.
+        continuous = np.append(~self.schema.is_categorical, False)
         roots = self.starts[:-1, None]
         depth = int(self.depths.max())
         value = self.nodes["value"]
         acc = np.empty((n, value.shape[1]))
         step = max(1, _WALK_BYTES // (8 * roots.size))
         for lo in range(0, n, step):
-            flat = X[lo : lo + step].ravel()
-            row_start = np.arange(0, flat.size, m)
+            rows = np.empty((min(step, n - lo), m + 1))
+            rows[:, :m] = X[lo : lo + step]
+            rows[:, m] = np.nan
+            flat = rows.ravel()
+            row_start = np.arange(0, flat.size, m + 1)
+            cell_continuous = np.tile(continuous, rows.shape[0])
             node = np.repeat(roots, row_start.size, axis=1)
             for _ in range(depth):
                 rec = self.nodes.take(node)
-                # A leaf's feature is -1, which reads some other cell; its
-                # children are itself, so the test is never used.
-                vals = flat.take(row_start + rec["feature"])
+                cell = row_start + rec["feature"]
+                vals = flat.take(cell)
                 thr = rec["threshold"]
                 # x == t on a categorical test, x <= t on a continuous one.
-                go_left = (vals <= thr) & ((vals == thr) | ~rec["is_cat"])
-                right = rec["right"]
-                node = roots + right + (rec["left"] - right) * go_left
+                go_left = (vals <= thr) & ((vals == thr) | cell_continuous.take(cell))
+                right = roots + rec["right"]
+                node = right + (node + 1 - right) * go_left
             acc[lo : lo + step] = np.cumsum(_prob(value[node]), axis=0)[-1]
         acc /= roots.size
         acc /= acc.sum(axis=1, keepdims=True)
@@ -473,7 +509,7 @@ class RandomForest:
             params = ForestParams(**doc["params"])
             schema = FeatureSchema.from_dict(doc["schema"])
             n_classes = integer(doc["n_classes"], "n_classes", 2)
-            trees = [_decode_tree(t, schema.arity, n_classes) for t in doc["trees"]]
+            trees = [_decode_tree(t, schema, n_classes) for t in doc["trees"]]
             norm_params = tuple(
                 tuple(p) if p else None for p in doc.get("norm_params") or []
             ) or None

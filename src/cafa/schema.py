@@ -368,8 +368,8 @@ def load_csv(path, spec: IngestionSpec) -> Dataset:
     (``?``) are imputed with the column mode (categorical) or median
     (continuous). Raises :class:`IngestionError` on a file that cannot be
     read or is not UTF-8, malformed input, a spec column named twice in the
-    header, a missing label, unknown closed-vocabulary categories, or
-    constant continuous columns.
+    header, a missing label (``?`` or an empty cell), unknown
+    closed-vocabulary categories, or constant continuous columns.
     """
     path = Path(path)
     try:
@@ -407,7 +407,7 @@ def load_csv(path, spec: IngestionSpec) -> Dataset:
                 f"{path}: row {r}: expected {n_cols} cells, got {len(row)}"
             )
         label = row[col_index[spec.label]].strip()
-        if label == MISSING_CELL:
+        if label in (MISSING_CELL, ""):
             raise IngestionError(f"{path}: row {r}: missing label")
         raw_labels.append(label)
         for c in spec.columns:

@@ -1,4 +1,4 @@
-"""Shared helpers: small schemas, model fakes, hand-written trees and forests, random instances, a coalition-value reference, a memory-peak probe."""
+"""Shared helpers: small schemas, model fakes, hand-written trees and forests, trees a model file must not hold, random instances, a coalition-value reference, a memory-peak probe."""
 
 import tracemalloc
 from pathlib import Path
@@ -62,6 +62,39 @@ def leaf(prob, threshold=0.0) -> dict:
     """Tree document of a single leaf."""
     return {"feature": [-1], "is_cat": [False], "threshold": [threshold],
             "left": [0], "right": [0], "leaf_prob": [list(prob)]}
+
+
+def preorder(doc) -> dict:
+    """Tree document ``doc`` renumbered as the builder numbers nodes: depth
+    first, a split's left child next."""
+    order, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        if doc["feature"][i] >= 0:
+            stack += [doc["right"][i], doc["left"][i]]
+    new = {old: k for k, old in enumerate(order)}
+    out = {key: [doc[key][i] for i in order]
+           for key in ("feature", "is_cat", "threshold", "leaf_prob")}
+    for key in ("left", "right"):
+        out[key] = [new[doc[key][i]] for i in order]
+    return out
+
+
+# Trees over feature 0 (continuous) and feature 1 (categorical) that a model
+# file must not hold.
+BAD_TREES = {
+    # depth 2, numbered breadth first: the root's left child is node 1, but
+    # node 1's left child is node 3
+    "breadth-first": {
+        "feature": [0, 1, 0, -1, -1, -1, -1], "is_cat": [0, 1, 0, 0, 0, 0, 0],
+        "threshold": [0.5, 1.0, 0.25, 0.0, 0.0, 0.0, 0.0],
+        "left": [1, 3, 5, 3, 4, 5, 6], "right": [2, 4, 6, 3, 4, 5, 6],
+        "leaf_prob": [[0.0, 0.0]] * 3 + [[1.0, 0.0], [0.0, 1.0]] * 2,
+    },
+    "is-cat-on-cont": stump(0, 0.5, [1.0, 0.0], [0.0, 1.0], is_cat=True),
+    "is-cat-on-leaf": {**stump(0, 0.5, [1.0, 0.0], [0.0, 1.0]), "is_cat": [False, True, False]},
+}
 
 
 def forest_of(schema, tree_docs, n_classes=2) -> RandomForest:

@@ -13,6 +13,8 @@ from cafa.experiment import _build, _cafa_config
 from cafa.forest import ForestParams, RandomForest
 from cafa.schema import dataset_to_raw_csv, ingestion_spec_for
 
+from .conftest import BAD_TREES
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -472,8 +474,9 @@ def test_data_errors_exit_3(ws, tmp_path, capsys):
 @pytest.mark.parametrize("header, row, tail, features, message", [
     ("a,class", "{i},{y}", "", ["a", "class"], "label 'class' as a feature"),
     ("a,class", "{i},{y}", "12,?\n13,?\n", ["a"], "row 14: missing label"),
+    ("a,class", "{i},{y}", "12,\n", ["a"], "row 14: missing label"),
     ("a,a,class", "{i},{i},{y}", "", ["a"], "'a' appears more than once"),
-], ids=["label_as_feature", "missing_label", "duplicate_header"])
+], ids=["label_as_feature", "missing_label", "empty_label", "duplicate_header"])
 def test_ingestion_faults_exit_3_without_a_model(tmp_path, capsys, header, row, tail, features,
                                                  message):
     data, spec, model = tmp_path / "d.csv", tmp_path / "s.json", tmp_path / "m.json"
@@ -574,6 +577,8 @@ def _set_in_tree(key, i, value):
     pytest.param(_set_in_tree("leaf_prob", -1, ["0.5", "0.5"]), id="string-leaf-prob"),
     pytest.param(lambda d: d.update(n_classes=2.9), id="fractional-n-classes"),
     pytest.param(lambda d: d.update(n_classes="2"), id="string-n-classes"),
+    *(pytest.param(lambda d, tree=tree: d["trees"].__setitem__(0, tree), id=name)
+      for name, tree in BAD_TREES.items()),
 ])
 def test_bad_model_entry_exits_4(ws, tmp_path, edit):
     model = _model_with(ws, tmp_path, edit)

@@ -22,7 +22,7 @@ from cafa.explain import (
 from cafa.forest import ForestParams, RandomForest, train_forest
 
 from .conftest import (ProbModel, coalition_value, forest_of, leaf, make_schema, peak_bytes,
-                       random_rows, stump)
+                       preorder, random_rows, stump)
 
 
 def shapley_brute(f, x, bg, m):
@@ -318,7 +318,7 @@ def test_signed_zero_counts_as_a_different_value():
 def _chain_tree(schema, rng, depth, features) -> dict:
     """Document of a tree with one path of ``depth`` tests on ``features`` (repeats
     allowed) and a leaf beside every test; the first test is categorical and
-    the path takes its right branch."""
+    the path takes its right branch. Nodes are numbered depth first."""
     feature, is_cat, threshold, left, right, prob = [], [], [], [], [], []
 
     def node(f=-1, cat=False, thr=0.0):
@@ -343,8 +343,8 @@ def _chain_tree(schema, rng, depth, features) -> dict:
         (right if went_left else left)[here] = node()
         cur = here
     (left if went_left else right)[cur] = node()
-    return {"feature": feature, "is_cat": is_cat, "threshold": threshold, "left": left,
-            "right": right, "leaf_prob": prob}
+    return preorder({"feature": feature, "is_cat": is_cat, "threshold": threshold,
+                     "left": left, "right": right, "leaf_prob": prob})
 
 
 def _tree_case(m, n_bg, seed):
@@ -530,16 +530,15 @@ def test_tree_path_slots_beyond_64():
     cont = int(np.flatnonzero(~schema.is_categorical)[0])
     feats = [cont] * 64 + [j for j in range(9) if j != cont]
     d = len(feats)
-    # node k < d tests feats[k] and has leaf d + k on its right; it goes on
-    # left to node k + 1, and node d - 1 to node 2d, the leaf at the end of
-    # the chain
+    # node k < d tests feats[k], goes on left to node k + 1 and has leaf
+    # 2d - k on its right; node d is the leaf at the end of the chain
     thr = [2.0] * 64 + [float(x[j]) if schema.is_categorical[j] else 0.5 for j in feats[64:]]
     chain = {
         "feature": feats + [-1] * (d + 1),
         "is_cat": [bool(schema.is_categorical[j]) for j in feats] + [False] * (d + 1),
         "threshold": thr + [0.0] * (d + 1),
-        "left": [*range(1, d), 2 * d, *range(d, 2 * d + 1)],
-        "right": [*range(d, 2 * d), *range(d, 2 * d + 1)],
+        "left": [*range(1, d + 1), *range(d, 2 * d + 1)],
+        "right": [*range(2 * d, d, -1), *range(d, 2 * d + 1)],
         "leaf_prob": np.column_stack([1.0 - np.linspace(0.1, 0.9, 2 * d + 1),
                                       np.linspace(0.1, 0.9, 2 * d + 1)]).tolist(),
     }

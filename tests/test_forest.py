@@ -18,7 +18,7 @@ from cafa.forest import ForestParams, RandomForest, accuracy, train_forest
 from cafa.pipeline import CafaConfig, cafa_local
 from cafa.schema import Dataset
 
-from .conftest import forest_of, leaf, make_schema, random_rows, stump
+from .conftest import BAD_TREES, forest_of, leaf, make_schema, random_rows, stump
 
 
 def _stump_ref(x, feature, threshold, left, right, is_cat=False):
@@ -280,6 +280,8 @@ def _trained_doc() -> dict:
                  id="string-leaf-prob"),
     pytest.param({"n_classes": 2.9}, id="fractional-n-classes"),
     pytest.param({"n_classes": "2"}, id="string-n-classes"),
+    # the trained schema is (cont, cat, cont), as BAD_TREES needs
+    *(pytest.param({"trees": [tree]}, id=name) for name, tree in BAD_TREES.items()),
 ])
 def test_load_rejects_a_tree_that_is_not_a_builder_tree(edit):
     with pytest.raises(ModelFormatError):
@@ -287,12 +289,15 @@ def test_load_rejects_a_tree_that_is_not_a_builder_tree(edit):
 
 
 def test_load_takes_json_booleans_and_integers_where_numbers_go():
-    tree = {**_STUMP, "is_cat": [False, True, 1], "threshold": [1, 0, 0.0],
-            "leaf_prob": [[0, 0], [1, 0], [0.0, 1]]}
+    # both splits test feature 1, which is categorical
+    tree = {**_FIVE, "feature": [1, -1, 1, -1, -1], "is_cat": [True, False, 1, 0, False],
+            "threshold": [1, 0, 2.0, 0.0, 0],
+            "leaf_prob": [[0, 0], [1, 0], [0, 0], [0.0, 1], [1, 0.0]]}
     loaded = RandomForest.from_dict({**_trained_doc(), "trees": [tree]}).trees[0]
-    assert loaded.is_cat.tolist() == [False, True, True]
-    assert loaded.threshold.tolist() == [1.0, 0.0, 0.0]
-    assert loaded.leaf_prob.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    assert loaded.is_cat.tolist() == [True, False, True, False, False]
+    assert loaded.threshold.tolist() == [1.0, 0.0, 2.0, 0.0, 0.0]
+    assert loaded.leaf_prob.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0],
+                                         [1.0, 0.0]]
 
 
 def test_load_rejects_a_trained_model_with_nan_leaves():
@@ -410,21 +415,22 @@ def test_seeded_forest_is_bit_identical(case, breast_data):
     assert hashlib.sha256(doc.encode()).hexdigest() == want
 
 
-def _records_of(index, threshold, value, n_classes=2):
-    return np.dtype([("feature", index), ("left", index), ("right", index), ("is_cat", "?"),
-                     ("threshold", threshold), ("value", value, (n_classes,))])
+def _records_of(right, threshold, value, n_classes=2):
+    return np.dtype([("feature", "i1"), ("right", right), ("threshold", threshold),
+                     ("value", value, (n_classes,))])
 
 
 # The node table of each PINNED_FORESTS case; its to_dict hash cannot see
-# records that got wider.
+# records that got wider. Trees of more than 128 nodes take int16 right
+# children.
 PINNED_RECORDS = {
     "covid": _records_of("<i2", "<f8", "<u2"),
     "lung": _records_of("<i2", "<f8", "<u2"),
-    "breast": _records_of("<i2", "u1", "u1"),
-    "three_class": _records_of("<i2", "<f8", "u1", n_classes=3),
-    "deep": _records_of("<i2", "<f8", "u1"),
-    "all_features": _records_of("<i2", "<f8", "u1"),
-    "constant_columns": _records_of("<i2", "<f8", "u1"),
+    "breast": _records_of("i1", "u1", "u1"),
+    "three_class": _records_of("i1", "<f8", "u1", n_classes=3),
+    "deep": _records_of("i1", "<f8", "u1"),
+    "all_features": _records_of("i1", "<f8", "u1"),
+    "constant_columns": _records_of("i1", "<f8", "u1"),
 }
 
 
@@ -472,13 +478,14 @@ def test_wide_feature_index_takes_int32_records():
     forest = forest_of(schema, [_wide_tree(
         [[0, 0, 0], [1.0, 0, 0], [0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])], 3)
     tree = forest.trees[0]
-    assert tree.feature.dtype == tree.left.dtype == np.int32
+    assert tree.feature.dtype == np.int32
+    assert tree.left.dtype == tree.right.dtype == np.int8
     assert tree.depth == 2
     X = random_rows(make_schema(["cont", 3]), np.random.default_rng(0), 12)
     X = np.hstack([X, np.zeros((12, wide - 1))])
     X[:, wide] = np.linspace(0.0, 1.0, 12)
     want = [1 if x[wide] <= 0.5 else (3 if x[1] == 2.0 else 4) for x in X]
-    assert forest.nodes.dtype["left"] == np.int32
+    assert forest.nodes.dtype["feature"] == np.int32 and forest.nodes.dtype["right"] == np.int8
     assert np.array_equal(forest.predict_proba(X), _normalized(tree.leaf_prob[want]))
     again = forest_of(schema, [json.loads(json.dumps(tree.to_dict()))], 3)
     assert again.trees[0].to_dict() == tree.to_dict()
@@ -553,7 +560,7 @@ def test_forest_keeps_one_node_table_and_trees_are_views_of_it():
         assert back.to_dict() == tree.to_dict()
     trained = train_forest(_synth(), ForestParams(n_trees=3, seed=1))
     assert trained.nodes.dtype["value"].base == np.uint8  # no class reaches 256 rows
-    assert trained.nodes.dtype["left"] == np.int16
+    assert trained.nodes.dtype["feature"] == trained.nodes.dtype["right"] == np.int8
 
 
 def test_trained_forest_holds_little_beyond_its_node_table():
@@ -571,10 +578,10 @@ def test_trained_forest_holds_little_beyond_its_node_table():
     assert packed < held <= 1.05 * packed
 
 
-def test_small_tree_takes_int16_records():
+def test_small_tree_takes_int8_records():
     tree = forest_of(make_schema(["cont"] * 4),
                      [stump(3, 0.5, np.array([1.0, 0.0]), np.array([0.0, 1.0]))]).trees[0]
-    assert tree.feature.dtype == tree.left.dtype == tree.right.dtype == np.int16
+    assert tree.feature.dtype == tree.left.dtype == tree.right.dtype == np.int8
     assert tree.to_dict() == {
         "feature": [3, -1, -1], "is_cat": [0, 0, 0], "threshold": [0.5, 0.0, 0.0],
         "left": [1, 1, 2], "right": [2, 1, 2],
@@ -639,8 +646,28 @@ def test_categorical_splits_store_one_byte_thresholds():
     assert forest.trees[0].threshold.dtype == np.uint8
     surrogate, _ = _covid_local_surrogate()
     assert surrogate.nodes.dtype["threshold"] == np.uint8
-    # int16 feature, left, right; the flag; the threshold; two uint8 counts
-    assert surrogate.nodes.dtype.itemsize == 10
+    # int8 feature and right child; the threshold; two uint8 counts
+    assert surrogate.nodes.dtype.itemsize == 5
+
+
+def test_covid_quickstart_result_holds_five_byte_nodes():
+    # what the benchmark keeps of each covid-local round: one cafa_local
+    # result, surrogate included. With 10-byte nodes (int16 feature, left
+    # and right, an is_cat flag) it held 110.6 KiB; with 5-byte ones, 89.8.
+    train, _ = train_test_split(covid_preset(seed=0), 0.3, seed=0)
+    model = train_forest(train, ForestParams(n_trees=100, max_depth=8, seed=0))
+    cfg = CafaConfig(k=100, pi="estimate", background_size=60, seed=3)
+    tracemalloc.start()
+    try:
+        res = cafa_local(train.X[25], model, train.schema, cfg, data=train)
+        with_result = tracemalloc.get_traced_memory()[0]
+        itemsize = res.surrogate.nodes.dtype.itemsize
+        del res
+        held = with_result - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert itemsize == 5
+    assert held < 100 * 1024
 
 
 @pytest.mark.parametrize("threshold, is_cat, want", [
@@ -656,7 +683,7 @@ def test_categorical_splits_store_one_byte_thresholds():
 ])
 def test_threshold_takes_the_narrowest_type_that_keeps_its_bits(threshold, is_cat, want):
     doc = stump(0, threshold, np.array([1.0, 0.0]), np.array([0.0, 1.0]), is_cat=is_cat)
-    tree = forest_of(make_schema(["cont"]), [doc]).trees[0]
+    tree = forest_of(make_schema([2] if is_cat else ["cont"]), [doc]).trees[0]
     assert tree.threshold.dtype == want
     assert tree.to_dict()["threshold"][0] == threshold
     assert np.signbit(tree.to_dict()["threshold"][0]) == np.signbit(threshold)
