@@ -4,7 +4,8 @@
 Runs `cafa synth`, `train`, `explain --method cafa|shap|lime`, `global`,
 `compare` and `experiment` on the covid and lung presets, a default synth
 table and the shipped breast table; the breast experiment reads that table
-through the `csv` dataset kind. Each command runs in a fresh process whose
+through the `csv` dataset kind, and one synth `explain` reads its instance
+from a raw-values JSON file. Each command runs in a fresh process whose
 PYTHONPATH is the given `src/` directory, inside the output directory and
 with paths relative to it, and its stdout goes to `commands.log`. Two
 checkouts that write the same bytes then compare with one `diff -r`:
@@ -51,12 +52,18 @@ COMMANDS = [
     ["synth", "--out", "synth.csv", "--spec-out", "synth.spec.json"],
     ["train", *_data("synth"), "--out", "synth.model.json", "--trees", "40", "--mtry", "3"],
     ["explain", *_run("synth", "--instance", "5", "--out-dir", "synth/explain", "--seed", "7")],
+    ["explain", *_run("synth", "--instance", "synth.instance.json",
+                      "--out-dir", "synth/explain-raw", "--seed", "7")],
     ["global", *_run("synth", "--sample", "5", "--out-dir", "synth/global")],
     ["train", *_data("breast"), "--out", "breast.model.json", "--trees", "40"],
     ["compare", *_run("breast", "--instance", "4", "--out-dir", "breast/compare")],
     ["experiment", "experiment.json"],
     ["experiment", "breast_experiment.json"],
 ]
+
+# Raw values of the default synth table's features, each continuous one
+# well inside the range that table spans.
+SYNTH_INSTANCE = {"u0": 0.5, "u1": "1", "c0": 0.25, "c1": "3", "c2": 0.75, "c3": "2"}
 
 EXPERIMENT = {
     "dataset": {"kind": "synth", "m_controllable": 3, "m_uncontrollable": 2, "n_rows": 400,
@@ -92,7 +99,8 @@ def main():
     out.mkdir(parents=True)
     shutil.copyfile(DATA / "breast_cancer.csv", out / "breast.csv")
     shutil.copyfile(DATA / "breast_cancer.spec.json", out / "breast.spec.json")
-    for name, doc in (("experiment", EXPERIMENT), ("breast_experiment", BREAST_EXPERIMENT)):
+    for name, doc in (("experiment", EXPERIMENT), ("breast_experiment", BREAST_EXPERIMENT),
+                      ("synth.instance", SYNTH_INSTANCE)):
         (out / f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n")
     env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve())}
     with open(out / "commands.log", "w", encoding="utf-8") as log:

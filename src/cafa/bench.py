@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .schema import Dataset, Feature, FeatureSchema, IngestionSpec, integer
+from .schema import Dataset, Feature, FeatureSchema, IngestionSpec, finite_number, integer
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,8 @@ class SynthSpec:
                     raise InvalidInputError(f"rule_features entry {j} out of range")
         weights = self.rule_weights
         if weights is not None:
-            if not all(isinstance(w, numbers.Real) and not isinstance(w, bool) for w in weights):
-                raise InvalidInputError(f"rule_weights must list numbers, got {weights!r}")
+            if not all(map(finite_number, weights)):
+                raise InvalidInputError(f"rule_weights must list finite numbers, got {weights!r}")
             ref = self.rule_features if self.rule_features is not None else range(m)
             if len(weights) != len(tuple(ref)):
                 raise InvalidInputError("rule_weights must match rule_features in length")

@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,64 +135,14 @@ def _records(feature, threshold, right, value) -> np.ndarray:
     return nodes
 
 
-class Tree:
-    """Read-only view of one tree's records in a forest's node table.
+class Tree(NamedTuple):
+    """One tree of a forest: its nodes' split ``feature`` (``-1`` marks a
+    leaf), a read-only slice of the forest's node table, and its ``depth``,
+    the number of tests on its longest path. ``RandomForest.trees`` makes
+    one per tree on each access."""
 
-    ``RandomForest.trees`` makes one per tree on each access. Node ``i`` is
-    record ``i``: its split ``feature`` (``-1`` marks a leaf),
-    ``threshold``, ``right`` child and class probabilities ``leaf_prob``.
-    Nodes are numbered in preorder, so a split's ``left`` child is node
-    ``i + 1``; leaves point to themselves. ``is_cat`` is true on a split
-    over a categorical feature of ``is_categorical`` (the schema's flags).
-    ``left`` and ``is_cat`` are derived on each access, not stored.
-    ``depth`` is the number of tests on the tree's longest path. Fields
-    take the forest table's types (``left`` that of ``right``);
-    ``to_dict`` writes thresholds as floats and class counts as
-    probabilities.
-    """
-
-    __slots__ = ("_nodes", "_is_categorical", "depth")
-
-    def __init__(self, nodes: np.ndarray, depth: int, is_categorical: np.ndarray):
-        self._nodes = nodes
-        self._is_categorical = is_categorical
-        self.depth = depth
-
-    @property
-    def feature(self) -> np.ndarray:
-        return self._nodes["feature"]
-
-    @property
-    def is_cat(self) -> np.ndarray:
-        return _is_cat(self.feature, self._is_categorical)
-
-    @property
-    def threshold(self) -> np.ndarray:
-        return self._nodes["threshold"]
-
-    @property
-    def left(self) -> np.ndarray:
-        left = np.arange(self._nodes.size, dtype=self.right.dtype) + (self.feature >= 0)
-        left.flags.writeable = False
-        return left
-
-    @property
-    def right(self) -> np.ndarray:
-        return self._nodes["right"]
-
-    @property
-    def leaf_prob(self) -> np.ndarray:
-        return _prob(self._nodes["value"])
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "is_cat": self.is_cat.astype(int).tolist(),
-            "threshold": self.threshold.astype(np.float64).tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "leaf_prob": self.leaf_prob.tolist(),
-        }
+    feature: np.ndarray
+    depth: int
 
 
 def _decode_tree(doc: dict, schema: FeatureSchema, n_classes: int) -> tuple[np.ndarray, int]:
@@ -397,10 +348,11 @@ class RandomForest:
     after tree, with each tree's right children numbered within the tree
     (a split's left child is the next record). Tree ``t`` is records
     ``starts[t]`` to ``starts[t + 1]`` and has depth ``depths[t]``.
-    ``trees`` makes a ``Tree`` view of each on access, and ``is_cat``
-    derives every node's kind of test from ``schema``.
-    ``train_forest`` (class counts) and ``from_dict`` (probabilities) pass
-    each tree's packed records and depth.
+    ``is_cat`` derives every node's kind of test from ``schema`` and
+    ``leaf_prob`` every node's class probabilities; ``to_dict`` writes
+    each tree's lists from these whole-table columns. ``train_forest``
+    (class counts) and ``from_dict`` (probabilities) pass each tree's
+    packed records and depth.
     """
 
     # Every result keeps its surrogate alive, so a forest holds three arrays
@@ -424,11 +376,14 @@ class RandomForest:
         self.norm_params = norm_params
         self.label_values = label_values
 
+    # Only the benchmark in perf/ reads ``trees``, for split features and
+    # depths; it can go once perf/ reads ``nodes`` and ``depths`` (ROADMAP 2a).
     @property
     def trees(self) -> list:
-        """A ``Tree`` view of each tree's records, made on each access."""
+        """A ``Tree`` of each tree's features and depth, made on each access."""
         bounds = self.starts.tolist()
-        return [Tree(self.nodes[a:b], d, self.schema.is_categorical)
+        feature = self.nodes["feature"]
+        return [Tree(feature[a:b], d)
                 for a, b, d in zip(bounds, bounds[1:], self.depths.tolist())]
 
     @property
@@ -490,6 +445,19 @@ class RandomForest:
         return np.argmax(self.predict_proba(X), axis=1)
 
     def to_dict(self) -> dict:
+        """The model document. Each tree lists, per node, its ``feature``,
+        ``is_cat`` as 0/1, ``threshold`` as a float, tree-local ``left`` and
+        ``right`` children and ``leaf_prob``, class counts as probabilities."""
+        feature, bounds = self.nodes["feature"], self.starts.tolist()
+        local = np.arange(feature.size) - np.repeat(self.starts[:-1], np.diff(self.starts))
+        columns = {
+            "feature": feature,
+            "is_cat": self.is_cat.astype(int),
+            "threshold": self.nodes["threshold"].astype(np.float64),
+            "left": local + (feature >= 0),
+            "right": self.nodes["right"],
+            "leaf_prob": self.leaf_prob,
+        }
         return {
             "format": "cafa-forest",
             "version": 1,
@@ -498,7 +466,8 @@ class RandomForest:
             "schema": self.schema.to_dict(),
             "norm_params": [list(p) if p else None for p in (self.norm_params or [])],
             "label_values": list(self.label_values) if self.label_values else None,
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": [{name: column[a:b].tolist() for name, column in columns.items()}
+                      for a, b in zip(bounds, bounds[1:])],
         }
 
     @classmethod

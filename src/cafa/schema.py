@@ -46,6 +46,17 @@ def integer(value, what: str, minimum: int = 0) -> int:
     return value
 
 
+def finite_number(value) -> bool:
+    """Whether ``value`` is a real number (not a bool) with a finite float: the
+    rule for every weight, scaling bound and raw value a file holds."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
 @dataclass(frozen=True)
 class Feature:
     """One feature column: a schema feature, and the codec for one feature
@@ -69,7 +80,7 @@ class Feature:
         if self.kind not in ("cat", "cont"):
             raise InvalidInputError(f"feature {self.name!r}: kind must be 'cat' or 'cont'")
         w = self.weight
-        if isinstance(w, bool) or not isinstance(w, numbers.Real) or not math.isfinite(w) or w < 0:
+        if not finite_number(w) or w < 0:
             raise InvalidInputError(
                 f"feature {self.name!r}: weight must be a finite number >= 0, got {w!r}"
             )
@@ -164,8 +175,8 @@ class FeatureSchema:
 
     def check_norm_params(self, norm_params) -> None:
         """Raise unless ``norm_params`` holds one entry per feature: ``None``
-        for a categorical one, a ``(min, max)`` pair with min < max for a
-        continuous one."""
+        for a categorical one, a ``(min, max)`` pair of finite numbers with
+        min < max for a continuous one."""
         if len(norm_params) != self.arity:
             raise InvalidInputError("norm_params length does not match schema arity")
         for f, p in zip(self.features, norm_params):
@@ -174,8 +185,9 @@ class FeatureSchema:
                     raise InvalidInputError(
                         f"feature {f.name!r}: categorical features take no norm params"
                     )
-            elif p is None or len(p) != 2 or not p[0] < p[1]:
-                raise InvalidInputError(f"feature {f.name!r}: degenerate normalization range")
+            elif p is None or len(p) != 2 or not all(map(finite_number, p)) or not p[0] < p[1]:
+                raise InvalidInputError(f"feature {f.name!r}: degenerate normalization range "
+                                        f"{p!r}; need two finite numbers, min < max")
 
     def to_dict(self) -> dict:
         return {"features": [f.to_dict() for f in self.features]}
@@ -368,8 +380,9 @@ def load_csv(path, spec: IngestionSpec) -> Dataset:
     (``?``) are imputed with the column mode (categorical) or median
     (continuous). Raises :class:`IngestionError` on a file that cannot be
     read or is not UTF-8, malformed input, a spec column named twice in the
-    header, a missing label (``?`` or an empty cell), unknown
-    closed-vocabulary categories, or constant continuous columns.
+    header, a missing label (``?`` or an empty cell), a continuous cell that
+    is not a finite number (``nan``, ``inf`` and ``1e400`` included),
+    unknown closed-vocabulary categories, or constant continuous columns.
     """
     path = Path(path)
     try:
@@ -441,12 +454,15 @@ def load_csv(path, spec: IngestionSpec) -> Dataset:
                 if v == MISSING_CELL:
                     continue
                 try:
-                    parsed[r] = float(v)
+                    value = float(v)
                 except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
                     raise IngestionError(
                         f"{path}: row {r + 2}: cannot parse {v!r} "
-                        f"as a number for column {c.name!r}"
-                    ) from None
+                        f"as a finite number for column {c.name!r}"
+                    )
+                parsed[r] = value
             present = parsed[~np.isnan(parsed)]
             if present.size == 0:
                 raise IngestionError(f"{path}: column {c.name!r}: all values missing")
@@ -472,8 +488,9 @@ def encode_instance(schema: FeatureSchema, norm_params, raw: dict) -> np.ndarray
 
     Categorical values are looked up in the vocabulary; continuous values are
     min-max scaled with the dataset's recorded parameters and clamped, so
-    query points outside the training range stay representable. A model
-    loaded without ``norm_params`` cannot scale them: :class:`ModelFormatError`.
+    finite query points outside the training range stay representable; a
+    value that is not a finite number is an error. A model loaded without
+    ``norm_params`` cannot scale them: :class:`ModelFormatError`.
     """
     x = np.empty(schema.arity, dtype=np.float64)
     for i, f in enumerate(schema.features):
@@ -492,11 +509,15 @@ def encode_instance(schema: FeatureSchema, norm_params, raw: dict) -> np.ndarray
                                    "to scale a raw value with")
         else:
             try:
-                value = float(v)
+                value = None if isinstance(v, bool) else float(v)
             except (TypeError, ValueError):
                 value = None
-            if value is None or isinstance(v, bool):
+            except OverflowError:  # an integer past the float range
+                value = math.inf
+            if value is None:
                 raise InvalidInputError(f"feature {f.name!r}: expected a number, got {v!r}")
+            if not math.isfinite(value):
+                raise InvalidInputError(f"feature {f.name!r}: {v!r} is not a finite number")
             x[i] = normalize(value, *norm_params[i])
     return x
 

@@ -96,6 +96,15 @@ def test_spec_validation():
             SynthSpec(**bad)
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, 10 ** 400],
+                         ids=["nan", "inf", "-inf", "int-past-float"])
+def test_rule_weights_must_be_finite_numbers(weight):
+    # a NaN or infinite weight makes every rule score NaN or infinite, and the
+    # labels one class
+    with pytest.raises(InvalidInputError, match="rule_weights must list finite numbers"):
+        SynthSpec(2, 0, 50, rule_weights=(1.0, weight))
+
+
 @pytest.mark.parametrize("index", [1.5, 1.0, True, "1", None])
 def test_rule_feature_index_must_be_an_integer(index):
     # a float or bool index would be truncated to a column when labelling

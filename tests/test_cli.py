@@ -287,6 +287,10 @@ def test_experiment_flow(tmp_path):
         ("dataset config: rule_features", lambda d: d["dataset"].update(rule_features=[1.5])),
         ("dataset.rule_weights config", lambda d: d["dataset"].update(rule_weights={"a": 1})),
         ("dataset config: rule_weights", lambda d: d["dataset"].update(rule_weights=["a", "b"])),
+        ("dataset config: rule_weights",
+         lambda d: d["dataset"].update(rule_weights=[float("nan"), 1.0, 1.0, 1.0])),
+        ("dataset config: rule_weights",
+         lambda d: d["dataset"].update(rule_weights=[1.0, float("inf"), 1.0, 1.0])),
         ("seed config", lambda d: d.update(seed=-1)),
         ("dataset.seed config", lambda d: d.update(dataset={"kind": "covid_preset", "seed": -2})),
         ("dataset config: seed", lambda d: d["dataset"].update(seed=-1)),
@@ -320,7 +324,8 @@ def test_experiment_flow(tmp_path):
          "csv-no-path-spec", "dataset-seed", "instance", "sample", "seed", "csv-spec-not-str",
          "csv-path-not-str", "synth-seed", "synth-n-rows", "removed-cafa-key", "synth-kinds-int",
          "synth-kinds-str", "synth-rule-features-int", "synth-rule-features-float",
-         "synth-rule-weights-object", "synth-rule-weights-str", "negative-seed",
+         "synth-rule-weights-object", "synth-rule-weights-str", "synth-rule-weights-nan",
+         "synth-rule-weights-inf", "negative-seed",
          "negative-preset-seed", "negative-synth-seed", "removed-exact-limit",
          "removed-shap-perms", "negative-model-seed", "negative-cafa-seed",
          "negative-surrogate-seed", "fractional-n-trees", "fractional-mtry", "fractional-k",
@@ -522,6 +527,41 @@ def test_bad_instance_file_exit_3(ws, tmp_path, capsys):
             assert f"feature {name!r}" in capsys.readouterr().err
 
 
+def _first_row_and_continuous_feature(ws):
+    """The workspace CSV's first row of raw feature values, and the name of
+    its first continuous feature."""
+    with open(ws["data"], newline="") as fh:
+        raw = {k: v for k, v in next(csv.DictReader(fh)).items() if k != "class"}
+    schema = RandomForest.load(ws["model"]).schema
+    return raw, next(f.name for f in schema.features if not f.is_categorical)
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "1e400", "NaN", "1" + "0" * 400],
+                         ids=["inf", "-inf", "1e400", "nan", "int-past-float"])
+def test_non_finite_instance_value_exit_3(ws, tmp_path, capsys, value):
+    raw, name = _first_row_and_continuous_feature(ws)
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps({**raw, name: "VALUE"}).replace('"VALUE"', value))
+    assert _explain(ws, tmp_path / "o", "--instance", str(inst), "--method", "shap") == 3
+    assert f"feature {name!r}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e400", "nan"])
+def test_non_finite_csv_cell_exit_3(ws, tmp_path, capsys, cell):
+    _, name = _first_row_and_continuous_feature(ws)
+    with open(ws["data"], newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[3][rows[0].index(name)] = cell
+    data, model = tmp_path / "data.csv", tmp_path / "model.json"
+    with open(data, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["train", "--data", str(data), "--spec", ws["spec"], "--out", str(model)]) == 3
+    want = f"row 4: cannot parse {cell!r} as a finite number for column {name!r}"
+    assert want in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_model_errors_exit_4(ws, tmp_path):
     garbage = tmp_path / "model.json"
     garbage.write_text("this is not a model")
@@ -585,7 +625,8 @@ def test_bad_model_entry_exits_4(ws, tmp_path, edit):
     assert _explain(ws, tmp_path / "o", "--instance", "0", "--model", model) == 4
 
 
-@pytest.mark.parametrize("weight", [True, "3", "nan", "inf", float("nan"), float("inf")], ids=repr)
+@pytest.mark.parametrize("weight", [True, "3", "nan", "inf", float("nan"), float("inf"),
+                                    pytest.param(10 ** 400, id="int-past-float")], ids=repr)
 def test_bad_feature_weight_exits_3_in_a_spec_and_4_in_a_model(ws, tmp_path, capsys, weight):
     spec = _json(Path(ws["spec"]))
     spec["features"][0]["weight"] = weight
@@ -635,6 +676,12 @@ def test_nan_leaves_exit_4(ws, tmp_path, capsys):
     # feature 0 is continuous
     pytest.param(lambda p: p.__setitem__(0, [1.0, 1.0]), "degenerate normalization range",
                  id="degenerate"),
+    pytest.param(lambda p: p.__setitem__(0, ["a", "b"]), "degenerate normalization range",
+                 id="string-bounds"),
+    pytest.param(lambda p: p.__setitem__(0, [False, True]), "degenerate normalization range",
+                 id="boolean-bounds"),
+    pytest.param(lambda p: p.__setitem__(0, [0.0, float("inf")]),
+                 "degenerate normalization range", id="infinite-bound"),
 ])
 def test_norm_params_that_do_not_fit_the_schema_exit_4(ws, tmp_path, capsys, edit, message):
     with open(ws["data"], newline="") as fh:

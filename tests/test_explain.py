@@ -356,30 +356,30 @@ def _tree_case(m, n_bg, seed):
         _chain_tree(model.schema, rng, 10, [cat[0], *rng.choice(m, size=3, replace=False)])
         for _ in range(2)
     ]
-    forest = forest_of(model.schema, [t.to_dict() for t in model.trees] + chains)
+    forest = forest_of(model.schema, model.to_dict()["trees"] + chains)
     return forest, x, bg
 
 
 def _paths(tree):
-    """Root-to-leaf test lists ``(feature, is_cat, went_left)`` of a tree."""
+    """Root-to-leaf test lists ``(feature, is_cat, went_left)`` of a tree document."""
     out, stack = [], [(0, ())]
     while stack:
         node, tests = stack.pop()
-        f = int(tree.feature[node])
+        f = tree["feature"][node]
         if f < 0:
             out.append(tests)
             continue
-        c = bool(tree.is_cat[node])
-        stack.append((int(tree.left[node]), tests + ((f, c, True),)))
-        stack.append((int(tree.right[node]), tests + ((f, c, False),)))
+        c = bool(tree["is_cat"][node])
+        stack.append((tree["left"][node], tests + ((f, c, True),)))
+        stack.append((tree["right"][node], tests + ((f, c, False),)))
     return out
 
 
 @pytest.mark.parametrize("m, n_bg", [(3, 7), (3, 1), (6, 9), (9, 12), (9, 1), (10, 4)])
 def test_tree_path_matches_exact_enumeration(m, n_bg):
     forest, x, bg = _tree_case(m, n_bg, seed=m + n_bg)
-    paths = [p for t in forest.trees for p in _paths(t)]
-    assert max(t.depth for t in forest.trees) == 10
+    paths = [p for t in forest.to_dict()["trees"] for p in _paths(t)]
+    assert forest.depths.max() == 10
     assert any(len({f for f, _, _ in p}) < len(p) for p in paths)  # a repeated feature
     assert any(c and not left for p in paths for _, c, left in p)  # a categorical right branch
     # the query, a copy of a background row, and a row sharing half of each
@@ -516,7 +516,7 @@ def _deep_forest():
 
 def test_tree_path_depth_14_forest():
     forest, data = _deep_forest()
-    assert max(t.depth for t in forest.trees) == 14
+    assert forest.depths.max() == 14
     X, rows = data.X[:4].copy(), data.X[100:120].copy()
     X[:, 2] = rows[:, 2] = X[0, 2]
     _assert_exact(forest, X, Background(rows), pinned=[2])
@@ -542,8 +542,8 @@ def test_tree_path_slots_beyond_64():
         "leaf_prob": np.column_stack([1.0 - np.linspace(0.1, 0.9, 2 * d + 1),
                                       np.linspace(0.1, 0.9, 2 * d + 1)]).tolist(),
     }
-    forest = forest_of(schema, [*(t.to_dict() for t in forest.trees), chain])
-    assert max(t.depth for t in forest.trees) == d == 72
+    forest = forest_of(schema, [*forest.to_dict()["trees"], chain])
+    assert forest.depths.max() == d == 72
     X = np.vstack([x, bg.rows[0], np.where(np.arange(9) % 2, x, bg.rows[-1])])
     _assert_exact(forest, X, bg, pinned=[0, 3, 6])
 

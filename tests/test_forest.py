@@ -47,12 +47,13 @@ def test_stump_oracle_categorical():
 
 
 def _walk(tree, x):
-    """Leaf reached by one row, following the split rules node by node."""
+    """Leaf reached by one row of a tree document, following the split rules
+    node by node."""
     node = 0
-    while tree.feature[node] >= 0:
-        v, thr = x[tree.feature[node]], tree.threshold[node]
-        go_left = v == thr if tree.is_cat[node] else v <= thr
-        node = tree.left[node] if go_left else tree.right[node]
+    while tree["feature"][node] >= 0:
+        v, thr = x[tree["feature"][node]], tree["threshold"][node]
+        go_left = v == thr if tree["is_cat"][node] else v <= thr
+        node = tree["left"][node] if go_left else tree["right"][node]
     return node
 
 
@@ -66,30 +67,33 @@ def test_one_tree_forest_matches_row_by_row_walk():
     data = generate_synth(SynthSpec(6, 0, 300, seed=4, kinds=kinds))
     model = train_forest(data, ForestParams(n_trees=5, max_depth=6, seed=4))
     X = np.asfortranarray(data.X[:80])  # predict must not assume C order
-    for tree in model.trees:
-        want = _normalized(tree.leaf_prob[[_walk(tree, x) for x in X]])
-        assert np.array_equal(forest_of(data.schema, [tree.to_dict()]).predict_proba(X), want)
+    for tree in model.to_dict()["trees"]:
+        want = _normalized(np.array(tree["leaf_prob"])[[_walk(tree, x) for x in X]])
+        assert np.array_equal(forest_of(data.schema, [tree]).predict_proba(X), want)
 
 
-def _apply_reference(tree, X):
-    """Leaf reached by every row of ``X``, one tree walked on its own."""
+def _apply_reference(tree, depth, X):
+    """Leaf reached by every row of ``X``, one tree document of ``depth``
+    walked on its own."""
+    feature, is_cat, threshold, left, right = (
+        np.array(tree[key]) for key in ("feature", "is_cat", "threshold", "left", "right"))
     rows = np.arange(X.shape[0])
     node = np.zeros(X.shape[0], dtype=np.intp)
-    for _ in range(tree.depth):
-        vals = X[rows, np.maximum(tree.feature[node], 0)]
-        thr = tree.threshold[node]
-        go_left = np.where(tree.is_cat[node], vals == thr, vals <= thr)
-        node = np.where(go_left, tree.left[node], tree.right[node])
+    for _ in range(depth):
+        vals = X[rows, np.maximum(feature[node], 0)]
+        thr = threshold[node]
+        go_left = np.where(is_cat[node], vals == thr, vals <= thr)
+        node = np.where(go_left, left[node], right[node])
     return node
 
 
 def predict_reference(forest, X):
-    """Tree by tree: each tree's leaf probabilities added in order, then
-    divided by the tree count and normalized."""
-    trees = forest.trees
-    acc = np.zeros((X.shape[0], trees[0].leaf_prob.shape[1]))
-    for tree in trees:
-        acc += tree.leaf_prob[_apply_reference(tree, X)]
+    """Tree by tree of the model document: each tree's leaf probabilities
+    added in order, then divided by the tree count and normalized."""
+    trees = forest.to_dict()["trees"]
+    acc = np.zeros((X.shape[0], forest.n_classes))
+    for tree, depth in zip(trees, forest.depths.tolist(), strict=True):
+        acc += np.array(tree["leaf_prob"])[_apply_reference(tree, depth, X)]
     acc /= len(trees)
     return _normalized(acc)
 
@@ -293,9 +297,9 @@ def test_load_takes_json_booleans_and_integers_where_numbers_go():
     tree = {**_FIVE, "feature": [1, -1, 1, -1, -1], "is_cat": [True, False, 1, 0, False],
             "threshold": [1, 0, 2.0, 0.0, 0],
             "leaf_prob": [[0, 0], [1, 0], [0, 0], [0.0, 1], [1, 0.0]]}
-    loaded = RandomForest.from_dict({**_trained_doc(), "trees": [tree]}).trees[0]
+    loaded = RandomForest.from_dict({**_trained_doc(), "trees": [tree]})
     assert loaded.is_cat.tolist() == [True, False, True, False, False]
-    assert loaded.threshold.tolist() == [1.0, 0.0, 2.0, 0.0, 0.0]
+    assert loaded.nodes["threshold"].tolist() == [1.0, 0.0, 2.0, 0.0, 0.0]
     assert loaded.leaf_prob.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0],
                                          [1.0, 0.0]]
 
@@ -312,7 +316,7 @@ def test_load_takes_leaf_rows_that_sum_to_1_within_the_tolerance():
     third = 1.0 / 3.0
     leaves = [[0.0, 0.0], [third, 2.0 * third + 5e-7], [0.0, 1.0]]
     doc = {**_trained_doc(), "trees": [{**_STUMP, "leaf_prob": leaves}]}
-    assert RandomForest.from_dict(doc).trees[0].leaf_prob.tolist() == leaves
+    assert RandomForest.from_dict(doc).leaf_prob.tolist() == leaves
 
 
 @pytest.mark.parametrize("norm_params", [
@@ -323,6 +327,9 @@ def test_load_takes_leaf_rows_that_sum_to_1_within_the_tolerance():
     pytest.param([[0.0, 1.0], None, [0.0]], id="one-bound"),
     pytest.param([[0.0, 1.0], None, None], id="continuous-without-range"),
     pytest.param([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]], id="categorical-with-range"),
+    pytest.param([[0.0, 1.0], None, ["a", "b"]], id="string-bounds"),
+    pytest.param([[0.0, 1.0], None, [False, True]], id="boolean-bounds"),
+    pytest.param([[0.0, 1.0], None, [0.0, np.inf]], id="infinite-bound"),
 ])
 def test_load_rejects_norm_params_that_do_not_fit_the_schema(norm_params):
     # the trained schema is (cont, cat, cont); Dataset rejects the same lists
@@ -341,7 +348,7 @@ def test_load_rejects_a_root_that_is_its_own_child():
 def test_hand_built_trees_load():
     schema = make_schema(["cont", "cont"])
     for tree in (_STUMP, _FIVE):
-        assert forest_of(schema, [tree]).trees[0].to_dict() == tree
+        assert forest_of(schema, [tree]).to_dict()["trees"] == [tree]
 
 
 def test_accuracy_matches_manual_mean():
@@ -435,13 +442,14 @@ PINNED_RECORDS = {
 
 
 def _walked_depth(tree) -> int:
-    """The number of tests on the longest path, found by walking every path."""
+    """The number of tests on the longest path of a tree document, found by
+    walking every path."""
     depth, stack = 0, [(0, 0)]
     while stack:
         node, d = stack.pop()
         depth = max(depth, d)
-        if tree.feature[node] >= 0:
-            stack += [(int(tree.left[node]), d + 1), (int(tree.right[node]), d + 1)]
+        if tree["feature"][node] >= 0:
+            stack += [(tree["left"][node], d + 1), (tree["right"][node], d + 1)]
     return depth
 
 
@@ -451,7 +459,7 @@ def test_seeded_forest_records_depths_and_round_trip(case, breast_data):
     data = make(breast_data)
     model = train_forest(data, params)
     assert model.nodes.dtype == PINNED_RECORDS[case]
-    assert model.depths.tolist() == [_walked_depth(t) for t in model.trees]
+    assert model.depths.tolist() == [_walked_depth(t) for t in model.to_dict()["trees"]]
     again = RandomForest.from_dict(json.loads(json.dumps(model.to_dict())))
     assert again.depths.tolist() == model.depths.tolist()
     assert again.starts.tolist() == model.starts.tolist()
@@ -475,21 +483,21 @@ def _wide_schema():
 def test_wide_feature_index_takes_int32_records():
     wide = 2**15
     schema = _wide_schema()
-    forest = forest_of(schema, [_wide_tree(
-        [[0, 0, 0], [1.0, 0, 0], [0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])], 3)
-    tree = forest.trees[0]
-    assert tree.feature.dtype == np.int32
-    assert tree.left.dtype == tree.right.dtype == np.int8
-    assert tree.depth == 2
+    tree = _wide_tree([[0, 0, 0], [1.0, 0, 0], [0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
+    forest = forest_of(schema, [tree], 3)
+    assert forest.nodes.dtype["feature"] == np.int32
+    assert forest.nodes.dtype["right"] == np.int8
+    assert forest.depths.tolist() == [2]
     X = random_rows(make_schema(["cont", 3]), np.random.default_rng(0), 12)
     X = np.hstack([X, np.zeros((12, wide - 1))])
     X[:, wide] = np.linspace(0.0, 1.0, 12)
     want = [1 if x[wide] <= 0.5 else (3 if x[1] == 2.0 else 4) for x in X]
-    assert forest.nodes.dtype["feature"] == np.int32 and forest.nodes.dtype["right"] == np.int8
-    assert np.array_equal(forest.predict_proba(X), _normalized(tree.leaf_prob[want]))
-    again = forest_of(schema, [json.loads(json.dumps(tree.to_dict()))], 3)
-    assert again.trees[0].to_dict() == tree.to_dict()
-    assert again.trees[0].feature.dtype == np.int32
+    assert np.array_equal(forest.predict_proba(X), _normalized(forest.leaf_prob[want]))
+    written = forest.to_dict()["trees"]
+    assert written == [tree]
+    again = forest_of(schema, json.loads(json.dumps(written)), 3)
+    assert again.to_dict()["trees"] == written
+    assert again.nodes.dtype["feature"] == np.int32
     assert np.array_equal(again.predict_proba(X), forest.predict_proba(X))
 
 
@@ -506,8 +514,8 @@ def _wide_tree_case():
 def _mixed_depth_case():
     """Trained trees with a single leaf, a stump and a depth-5 chain added."""
     data = generate_synth(SynthSpec(3, 1, 150, seed=6))
-    shallow, deep = (train_forest(data, ForestParams(n_trees=3, max_depth=d, seed=1)).trees
-                     for d in (2, 4))
+    shallow, deep = (train_forest(data, ForestParams(n_trees=3, max_depth=d, seed=1))
+                     .to_dict()["trees"] for d in (2, 4))
     chain = {"feature": [0, -1, 2, -1, 0, -1, 2, -1, 0, -1, -1], "is_cat": [False] * 11,
              "threshold": [0.8, 0, 0.3, 0, 0.6, 0, 0.1, 0, 0.4, 0, 0],
              "left": [1, 1, 3, 3, 5, 5, 7, 7, 9, 9, 10],
@@ -515,9 +523,9 @@ def _mixed_depth_case():
              "leaf_prob": [[0.5, 0.5], [0.9, 0.1], [0.5, 0.5], [0.3, 0.7], [0.5, 0.5],
                            [0.6, 0.4], [0.5, 0.5], [0.2, 0.8], [0.5, 0.5], [1.0, 0.0],
                            [0.0, 1.0]]}
-    trees = [*(t.to_dict() for t in deep), leaf([0.4, 0.6]),
+    trees = [*deep, leaf([0.4, 0.6]),
              stump(1, 1.0, np.array([0.7, 0.3]), np.array([0.1, 0.9]), is_cat=True),
-             *(t.to_dict() for t in shallow), chain]
+             *shallow, chain]
     forest = forest_of(data.schema, trees)
     assert sorted(set(forest.depths.tolist())) == [0, 1, 2, 4, 5]
     return forest, data.X
@@ -555,9 +563,10 @@ def test_forest_keeps_one_node_table_and_trees_are_views_of_it():
     # the hand-built trees hold probabilities, so every row is one
     assert forest.nodes.dtype["value"].base == np.float64
     again = RandomForest.from_dict(forest.to_dict())
-    for tree, back in zip(forest.trees, again.trees, strict=True):
-        assert tree._nodes.base is forest.nodes
-        assert back.to_dict() == tree.to_dict()
+    assert again.to_dict()["trees"] == forest.to_dict()["trees"]
+    for tree, depth in zip(forest.trees, forest.depths.tolist(), strict=True):
+        assert tree.feature.base is forest.nodes
+        assert tree.depth == depth
     trained = train_forest(_synth(), ForestParams(n_trees=3, seed=1))
     assert trained.nodes.dtype["value"].base == np.uint8  # no class reaches 256 rows
     assert trained.nodes.dtype["feature"] == trained.nodes.dtype["right"] == np.int8
@@ -579,14 +588,14 @@ def test_trained_forest_holds_little_beyond_its_node_table():
 
 
 def test_small_tree_takes_int8_records():
-    tree = forest_of(make_schema(["cont"] * 4),
-                     [stump(3, 0.5, np.array([1.0, 0.0]), np.array([0.0, 1.0]))]).trees[0]
-    assert tree.feature.dtype == tree.left.dtype == tree.right.dtype == np.int8
-    assert tree.to_dict() == {
+    forest = forest_of(make_schema(["cont"] * 4),
+                       [stump(3, 0.5, np.array([1.0, 0.0]), np.array([0.0, 1.0]))])
+    assert forest.nodes.dtype["feature"] == forest.nodes.dtype["right"] == np.int8
+    assert forest.to_dict()["trees"] == [{
         "feature": [3, -1, -1], "is_cat": [0, 0, 0], "threshold": [0.5, 0.0, 0.0],
         "left": [1, 1, 2], "right": [2, 1, 2],
         "leaf_prob": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
-    }
+    }]
 
 
 def test_trained_trees_store_counts_and_reload_as_probabilities():
@@ -596,11 +605,10 @@ def test_trained_trees_store_counts_and_reload_as_probabilities():
     assert model.nodes.dtype["value"].base == np.uint8
     again = RandomForest.from_dict(json.loads(json.dumps(model.to_dict())))
     assert again.nodes.dtype["value"].base == np.float64
-    for tree, back in zip(model.trees, again.trees, strict=True):
-        prob = tree.leaf_prob
-        assert np.allclose(prob.sum(axis=1), 1.0, atol=1e-15)
-        assert back.to_dict() == tree.to_dict()
-        assert back.leaf_prob.tobytes() == prob.tobytes()
+    prob = model.leaf_prob
+    assert np.allclose(prob.sum(axis=1), 1.0, atol=1e-15)
+    assert again.to_dict()["trees"] == model.to_dict()["trees"]
+    assert again.leaf_prob.tobytes() == prob.tobytes()
     assert again.predict_proba(data.X).tobytes() == model.predict_proba(data.X).tobytes()
 
 
@@ -608,17 +616,23 @@ def test_trained_trees_store_counts_and_reload_as_probabilities():
 def test_tree_fields_are_read_only(trained):
     if trained:
         data = generate_synth(SynthSpec(2, 1, 60, seed=3))
-        tree = train_forest(data, ForestParams(n_trees=1, seed=0)).trees[0]
+        forest = train_forest(data, ForestParams(n_trees=1, seed=0))
     else:
-        tree = forest_of(make_schema(["cont"]),
-                         [stump(0, 0.5, np.array([1.0, 0.0]), np.array([0.0, 1.0]))]).trees[0]
-    for name in ("feature", "is_cat", "threshold", "left", "right", "leaf_prob"):
+        forest = forest_of(make_schema(["cont"]),
+                           [stump(0, 0.5, np.array([1.0, 0.0]), np.array([0.0, 1.0]))])
+    tree = forest.trees[0]
+    for name in ("feature", "depth"):
         with pytest.raises(AttributeError):
-            setattr(tree, name, getattr(tree, name).copy())
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(tree, name)[0] = 1
+            setattr(tree, name, getattr(tree, name))
+    with pytest.raises(ValueError, match="read-only"):
+        tree.feature[0] = 1
     with pytest.raises(AttributeError):
         tree.extra = 1
+    # the table columns the trees' kinds of test, children and leaves come from
+    for column in (forest.is_cat, forest.nodes["threshold"], forest.nodes["right"],
+                   forest.leaf_prob, forest.starts, forest.depths):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
 
 
 # -- threshold width ---------------------------------------------------------
@@ -643,7 +657,6 @@ def _categorical_forest():
 def test_categorical_splits_store_one_byte_thresholds():
     forest, _ = _categorical_forest()
     assert forest.nodes.dtype["threshold"] == np.uint8
-    assert forest.trees[0].threshold.dtype == np.uint8
     surrogate, _ = _covid_local_surrogate()
     assert surrogate.nodes.dtype["threshold"] == np.uint8
     # int8 feature and right child; the threshold; two uint8 counts
@@ -683,10 +696,11 @@ def test_covid_quickstart_result_holds_five_byte_nodes():
 ])
 def test_threshold_takes_the_narrowest_type_that_keeps_its_bits(threshold, is_cat, want):
     doc = stump(0, threshold, np.array([1.0, 0.0]), np.array([0.0, 1.0]), is_cat=is_cat)
-    tree = forest_of(make_schema([2] if is_cat else ["cont"]), [doc]).trees[0]
-    assert tree.threshold.dtype == want
-    assert tree.to_dict()["threshold"][0] == threshold
-    assert np.signbit(tree.to_dict()["threshold"][0]) == np.signbit(threshold)
+    forest = forest_of(make_schema([2] if is_cat else ["cont"]), [doc])
+    assert forest.nodes.dtype["threshold"] == want
+    written = forest.to_dict()["trees"][0]["threshold"][0]
+    assert written == threshold
+    assert np.signbit(written) == np.signbit(threshold)
 
 
 def test_one_wide_threshold_widens_the_whole_table():
@@ -699,7 +713,7 @@ def test_one_wide_threshold_widens_the_whole_table():
                         ([half, half_leaf], np.float64), ([wide, half_leaf], np.float64)):
         forest = forest_of(schema, trees)
         assert forest.nodes.dtype["threshold"] == want
-        assert [t.to_dict() for t in forest.trees] == trees
+        assert forest.to_dict()["trees"] == trees
     continuous = train_forest(_synth(), ForestParams(n_trees=2, seed=0))
     assert continuous.nodes.dtype["threshold"] == np.float64
 
@@ -709,7 +723,7 @@ def test_to_dict_writes_float_thresholds():
     for tree in forest.to_dict()["trees"]:
         assert all(type(t) is float for t in tree["threshold"])
     doc = stump(0, 2.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]), is_cat=True)
-    text = json.dumps(forest_of(make_schema([3]), [doc]).trees[0].to_dict())
+    text = json.dumps(forest_of(make_schema([3]), [doc]).to_dict()["trees"][0])
     assert '"threshold": [2.0, 0.0, 0.0]' in text
 
 

@@ -206,6 +206,18 @@ def test_encode_instance():
         encode_instance(schema, params, {"size": True, "grade": "2"})
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, "inf", 10 ** 400],
+                         ids=["inf", "-inf", "nan", "inf-string", "int-past-float"])
+def test_encode_instance_rejects_values_that_are_not_finite_numbers(value):
+    schema = make_schema(["cont", 3], names=["size", "grade"])
+    params = ((10.0, 30.0), None)
+    # a finite value outside the training range still clamps
+    assert encode_instance(schema, params, {"size": 1e300, "grade": "2"})[0] == 1.0
+    assert encode_instance(schema, params, {"size": -5, "grade": "2"})[0] == 0.0
+    with pytest.raises(InvalidInputError, match="'size': .* is not a finite number"):
+        encode_instance(schema, params, {"size": value, "grade": "2"})
+
+
 def test_encode_instance_without_norm_params_is_a_model_error():
     # a model file may omit norm_params; it then cannot scale a raw continuous value
     schema = make_schema(["cont", 3], names=["size", "grade"])
@@ -248,6 +260,17 @@ def test_dataset_validation():
     data = Dataset.from_normalized(schema, X, np.array([0, 1]))
     assert data.n_rows == 2 and data.n_classes == 2
     assert not data.X.flags.writeable
+
+
+@pytest.mark.parametrize("bounds", [("a", "b"), (False, True), (0.0, np.inf), (-np.inf, 1.0),
+                                    (0, 10 ** 400)],
+                         ids=["strings", "booleans", "infinite-max", "infinite-min",
+                              "int-past-float"])
+def test_dataset_rejects_norm_params_that_are_not_two_finite_numbers(bounds):
+    schema = make_schema(["cont", "cont"])
+    X = np.array([[0.1, 0.2], [0.3, 0.4]])
+    with pytest.raises(InvalidInputError, match="'f1': degenerate normalization range"):
+        Dataset(schema, X, np.array([0, 1]), ((0.0, 1.0), bounds))
 
 
 # --- CSV ingestion ----------------------------------------------------------
