@@ -18,8 +18,6 @@ from .errors import (
 from .explain import (
     Attribution,
     Background,
-    GlobalExplanation,
-    global_explanation,
     lime_explain,
     shapley_exact,
     shapley_mc,
@@ -63,7 +61,6 @@ __all__ = [
     "FeatureSchema",
     "ForestParams",
     "GlobalCafaResult",
-    "GlobalExplanation",
     "GlobalFailureError",
     "IngestionError",
     "IngestionSpec",
@@ -85,7 +82,6 @@ __all__ = [
     "encode_instance",
     "estimate_proximity",
     "generate_neighborhood",
-    "global_explanation",
     "lime_explain",
     "load_csv",
     "pearson",

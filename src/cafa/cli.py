@@ -12,7 +12,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -29,7 +28,9 @@ from .experiment import (
 from .explain import derive_seed, lime_explain
 from .forest import ForestParams, RandomForest, accuracy, train_forest
 from .pipeline import CafaConfig, cafa_global, cafa_local, compare_with_shap, standard_shap
-from .reports import write_attribution_csv, write_attribution_json, write_global_run, write_run
+from .reports import (
+    write_attribution_csv, write_attribution_json, write_global_run, write_json, write_run
+)
 from .schema import (
     dataset_to_raw_csv,
     encode_instance,
@@ -221,7 +222,7 @@ def cmd_global(args) -> int:
     res = cafa_global(data.X[sample_idx], model, data.schema, cfg, data=data)
     out_dir = write_global_run(
         args.out_dir,
-        res,
+        res.phis,
         data.schema.names,
         {"method": "cafa-global", "skipped": res.skipped, "pi": res.pi, "seed": args.seed},
         run_meta("global", cfg, res, sample_rows=sample_idx.tolist()),
@@ -243,7 +244,7 @@ def cmd_compare(args) -> int:
         args.out_dir,
         res.cafa.attribution,
         names,
-        run_meta("compare", cfg, instance=args.instance, pi=res.cafa.pi,
+        run_meta("compare", cfg, instance=args.instance, pi=res.cafa.neighborhood.pi,
                  pearson_controllable=res.pearson_controllable,
                  controllable=[names[j] for j in data.schema.controllable_idx]),
         per_row_phi=res.cafa.per_row_phi,
@@ -265,9 +266,7 @@ def cmd_synth(args) -> int:
     data = load_dataset(doc)
     dataset_to_raw_csv(data, args.out)
     if args.spec_out:
-        with open(args.spec_out, "w", encoding="utf-8") as fh:
-            json.dump(ingestion_spec_for(data).to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.spec_out, ingestion_spec_for(data).to_dict())
     print(f"wrote {data.n_rows} rows x {len(data.schema.features)} features to {args.out}")
     return 0
 

@@ -25,12 +25,12 @@ import numpy as np
 
 from . import bench
 from .errors import IngestionError, InvalidInputError, UsageError
-from .explain import derive_seed, global_explanation
+from .explain import derive_seed
 from .forest import ForestParams, accuracy, train_forest
 from .pipeline import (
     CafaConfig, CafaResult, GlobalCafaResult, cafa_global, cafa_local, standard_shap
 )
-from .reports import write_global_run, write_run, write_run_meta
+from .reports import write_global_run, write_json, write_run
 from .schema import IngestionSpec, integer, load_csv, read_json
 
 REQUIRED_KEYS = ("dataset", "model", "cafa", "sample", "out_dir")
@@ -119,7 +119,7 @@ def run_meta(command: str, cfg: CafaConfig | None = None, result=None, **fields)
     if cfg is not None:
         meta["config"] = cfg.to_dict()
     if isinstance(result, CafaResult):
-        meta.update(pi=result.pi, neighborhood_stats=result.neighborhood.stats,
+        meta.update(pi=result.neighborhood.pi, neighborhood_stats=result.neighborhood.stats,
                     surrogate_accuracy=result.surrogate_quality)
     elif isinstance(result, GlobalCafaResult):
         meta.update(pi=result.pi, n_explained=result.n_explained, skipped=result.skipped)
@@ -161,6 +161,7 @@ def run_experiment(config_path, timestamp: bool = False) -> Path:
 
     # Local pass: both methods on the named instance.
     local_res = cafa_local(x, model, schema, cfg, data=data)
+    nb = local_res.neighborhood
     write_run(
         out_dir / "local" / "cafa",
         local_res.attribution,
@@ -169,7 +170,7 @@ def run_experiment(config_path, timestamp: bool = False) -> Path:
         per_row_phi=local_res.per_row_phi,
         extra={
             "zeros_enforced": [names[j] for j in schema.uncontrollable_idx],
-            "neighborhood": {**local_res.neighborhood.stats, "pi": local_res.pi, "k": cfg.k},
+            "neighborhood": {**nb.stats, "pi": nb.pi, "k": cfg.k},
             "surrogate_accuracy": local_res.surrogate_quality,
         },
         timestamp=timestamp,
@@ -188,20 +189,20 @@ def run_experiment(config_path, timestamp: bool = False) -> Path:
     global_doc = {"aggregate": "mean over instances", "seed": seed}
     write_global_run(
         out_dir / "global" / "cafa",
-        gres,
+        gres.phis,
         names,
         {"method": "cafa", "skipped": gres.skipped, **global_doc},
         run_meta("experiment.global.cafa", cfg, gres, sample_rows=sample_idx.tolist()),
         timestamp=timestamp,
     )
 
-    shap_attrs = []
+    shap_phis = []
     for pos, i in enumerate(sample_idx):
         sub = dataclasses.replace(cfg, seed=derive_seed(seed, 101, pos))
-        shap_attrs.append(standard_shap(data.X[i], model, schema, sub, data=data))
+        shap_phis.append(standard_shap(data.X[i], model, schema, sub, data=data).phi)
     write_global_run(
         out_dir / "global" / "shap",
-        global_explanation(shap_attrs),
+        np.stack(shap_phis),
         names,
         {"method": "shap", "skipped": [], **global_doc},
         run_meta("experiment.global.shap", cfg, sample_rows=sample_idx.tolist()),
@@ -210,7 +211,7 @@ def run_experiment(config_path, timestamp: bool = False) -> Path:
 
     config = {"dataset": doc["dataset"], "model": model_params.to_dict(), "cafa": cfg.to_dict(),
               "sample": n_sample, "instance": instance_idx, "out_dir": str(out_dir), "seed": seed}
-    write_run_meta(
+    write_json(
         out_dir / "run_meta.json",
         run_meta("experiment", config=config, train_accuracy=train_acc, n_rows=data.n_rows,
                  n_features=len(names)),

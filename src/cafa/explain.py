@@ -402,34 +402,3 @@ def lime_explain(
     if not np.all(np.isfinite(beta)):
         raise FitError("weighted ridge fit produced non-finite coefficients")
     return Attribution(phi=beta[:m], phi0=float(beta[m]), method="lime", seed=seed)
-
-
-@dataclass(frozen=True)
-class GlobalExplanation:
-    """Aggregate of per-instance attributions; ``phis`` is one row per instance."""
-
-    phis: np.ndarray
-    mean_phi: np.ndarray
-    mean_abs_phi: np.ndarray
-
-    @property
-    def n_instances(self) -> int:
-        return self.phis.shape[0]
-
-    def ranking(self) -> np.ndarray:
-        """Feature indices by decreasing mean absolute attribution."""
-        return rank_by_magnitude(self.mean_abs_phi)
-
-
-def global_explanation(attributions) -> GlobalExplanation:
-    """Average per-instance attributions into a global view."""
-    if not attributions:
-        raise InvalidInputError("need at least one attribution to aggregate")
-    phis = np.stack([a.phi for a in attributions])
-    if phis.ndim != 2:
-        raise InvalidInputError("attributions have inconsistent arity")
-    return GlobalExplanation(
-        phis=phis,
-        mean_phi=phis.mean(axis=0),
-        mean_abs_phi=np.abs(phis).mean(axis=0),
-    )

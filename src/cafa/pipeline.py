@@ -31,9 +31,8 @@ from .explain import (
     EXACT_LIMIT,
     Attribution,
     Background,
-    GlobalExplanation,
     derive_seed,
-    global_explanation,
+    rank_by_magnitude,
     shapley_exact,
     shapley_forest,
     shapley_mc,
@@ -104,7 +103,6 @@ class CafaResult:
     per_row_phi: np.ndarray
     explained_rows: np.ndarray
     background: Background
-    pi: float
 
 
 def resolve_pi(cfg: CafaConfig, data: Dataset | None) -> float:
@@ -186,7 +184,6 @@ def cafa_local(
         per_row_phi=per_row_phi,
         explained_rows=idx,
         background=bg,
-        pi=pi,
     )
 
 
@@ -257,18 +254,27 @@ def compare_with_shap(
 
 
 @dataclass(frozen=True)
-class GlobalCafaResult(GlobalExplanation):
-    """Dataset-level aggregate of per-instance runs: ``per_instance`` holds
+class GlobalCafaResult:
+    """Dataset-level aggregate of per-instance runs. ``phis`` holds one
+    attribution row per explained instance and ``mean_phi`` /
+    ``mean_abs_phi`` its column means; ``per_instance`` holds
     ``(position, CafaResult)`` pairs, ``skipped`` ``(position, message)``
     pairs, and ``pi`` the proximity threshold every instance shared."""
 
+    phis: np.ndarray
+    mean_phi: np.ndarray
+    mean_abs_phi: np.ndarray
     per_instance: tuple
     skipped: tuple
     pi: float
 
     @property
     def n_explained(self) -> int:
-        return self.n_instances
+        return self.phis.shape[0]
+
+    def ranking(self) -> np.ndarray:
+        """Feature indices by decreasing mean absolute attribution."""
+        return rank_by_magnitude(self.mean_abs_phi)
 
 
 def cafa_global(
@@ -301,9 +307,11 @@ def cafa_global(
         raise GlobalFailureError(
             f"all {xs.shape[0]} instances failed; first failure: {skipped[0][1]}"
         )
-    agg = global_explanation([r.attribution for _, r in results])
+    phis = np.stack([r.attribution.phi for _, r in results])
     return GlobalCafaResult(
-        **vars(agg),
+        phis=phis,
+        mean_phi=phis.mean(axis=0),
+        mean_abs_phi=np.abs(phis).mean(axis=0),
         per_instance=tuple(results),
         skipped=tuple(skipped),
         pi=pi,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .explain import Attribution, GlobalExplanation, rank_by_magnitude
+from .explain import Attribution, rank_by_magnitude
 from .svg import bar_chart, summary_chart
 
 
@@ -46,7 +46,7 @@ def write_attribution_json(path, attr: Attribution, names, extra: dict | None = 
     doc = attribution_to_dict(attr, names)
     if extra:
         doc.update({k: _py(v) for k, v in extra.items()})
-    _write_json(path, doc)
+    write_json(path, doc)
 
 
 def write_attribution_csv(path, attr: Attribution, names):
@@ -71,11 +71,8 @@ def write_global_csv(path, names, mean_phi, mean_abs_phi):
             writer.writerow([names[j], repr(float(mean_phi[j])), repr(float(mean_abs_phi[j]))])
 
 
-def write_run_meta(path, meta: dict):
-    _write_json(path, meta)
-
-
-def _write_json(path, doc):
+def write_json(path, doc):
+    """``doc`` as indented JSON with sorted keys and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -128,22 +125,25 @@ def write_run(run_dir, attr: Attribution, names, meta: dict, per_row_phi=None, e
     write_attribution_csv(run_dir / "attribution.csv", attr, names)
     write_attribution_json(run_dir / "attribution.json", attr, names, extra=extra)
     render_local_charts(run_dir, attr, names, per_row_phi=per_row_phi, timestamp=timestamp)
-    write_run_meta(run_dir / "run_meta.json", meta)
+    write_json(run_dir / "run_meta.json", meta)
     return run_dir
 
 
-def write_global_run(run_dir, agg: GlobalExplanation, names, doc: dict, meta: dict,
-                     timestamp=False) -> Path:
-    """Write an aggregate run directory. ``doc`` holds the ``attribution.json``
-    keys besides ``phi`` and ``n_explained``, which come from ``agg``."""
+def write_global_run(run_dir, phis, names, doc: dict, meta: dict, timestamp=False) -> Path:
+    """Write an aggregate run directory from ``phis``, one attribution row per
+    explained instance. ``doc`` holds the ``attribution.json`` keys besides
+    ``phi`` and ``n_explained``, which come from ``phis``."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    write_global_csv(run_dir / "attribution.csv", names, agg.mean_phi, agg.mean_abs_phi)
+    phis = np.asarray(phis, dtype=np.float64)
+    mean_phi = phis.mean(axis=0)
+    mean_abs_phi = np.abs(phis).mean(axis=0)
+    write_global_csv(run_dir / "attribution.csv", names, mean_phi, mean_abs_phi)
     phi = [
         {"feature": n, "mean": float(v), "mean_abs": float(a)}
-        for n, v, a in zip(names, agg.mean_phi, agg.mean_abs_phi)
+        for n, v, a in zip(names, mean_phi, mean_abs_phi)
     ]
-    _write_json(run_dir / "attribution.json", {**doc, "n_explained": agg.n_instances, "phi": phi})
-    render_global_charts(run_dir, names, agg.mean_phi, agg.phis, timestamp=timestamp)
-    write_run_meta(run_dir / "run_meta.json", meta)
+    write_json(run_dir / "attribution.json", {**doc, "n_explained": phis.shape[0], "phi": phi})
+    render_global_charts(run_dir, names, mean_phi, phis, timestamp=timestamp)
+    write_json(run_dir / "run_meta.json", meta)
     return run_dir

@@ -68,9 +68,11 @@ def generate_neighborhood(
 ) -> NeighborhoodSample:
     """Rejection-sample a balanced labeled neighborhood of ``x``.
 
-    Raises :class:`NeighborhoodImbalanceError` when the attempt budget runs
-    out before at least two classes each reach ``k`` members, which happens
-    when the model is (locally) constant over the reachable neighborhood.
+    Sampling stops once at least two classes are observed and every observed
+    class has ``k`` members; each class is then cut to exactly ``k``. Raises
+    :class:`NeighborhoodImbalanceError` when the attempt budget runs out
+    first, which happens when the model is (locally) constant over the
+    reachable neighborhood or a rare observed class stays short of ``k``.
     """
     x = validate_instance(schema, x)
     if not 0.0 < pi <= 1.0:

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import numbers
+import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import CafaError, IngestionError, InvalidInputError, ModelFormatError
 
 MISSING_CELL = "?"
+_DECIMAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 def string_list(values, what: str) -> tuple[str, ...]:
@@ -55,6 +57,14 @@ def finite_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an integer past the float range
         return False
+
+
+def _ascii_decimal(text: str) -> float:
+    """``float(text)`` when ``text`` is an ASCII decimal number such as ``-0.5``,
+    ``.5``, ``5.`` or ``1e-3``, else nan: the syntax of every number a CSV cell
+    or instance file holds as text. ``float()`` alone also reads ``0_5`` and
+    non-ASCII digits."""
+    return float(text) if _DECIMAL.fullmatch(text) else math.nan
 
 
 @dataclass(frozen=True)
@@ -170,9 +180,6 @@ class FeatureSchema:
     def arity(self) -> int:
         return len(self.features)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FeatureSchema) and self.features == other.features
-
     def check_norm_params(self, norm_params) -> None:
         """Raise unless ``norm_params`` holds one entry per feature: ``None``
         for a categorical one, a ``(min, max)`` pair of finite numbers with
@@ -285,10 +292,6 @@ class Dataset:
     def n_rows(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def n_classes(self) -> int:
-        return int(self.y.max()) + 1
-
 
 def normalize(value: float, lo: float, hi: float) -> float:
     """Min-max scale ``value`` into [0, 1], clamping out-of-range inputs."""
@@ -355,12 +358,14 @@ def read_json(path, what: str, unreadable: type[CafaError], malformed: type[Cafa
 
 
 def _sort_values(values):
-    """Sort category labels numerically when they all parse, else lexically."""
+    """Sort category labels numerically when every one is a finite ASCII
+    decimal, equal numbers by their text, else as strings: one order whatever
+    the order of ``values``."""
     vals = list(values)
-    try:
-        return sorted(vals, key=float)
-    except ValueError:
-        return sorted(vals)
+    keys = [_ascii_decimal(v) for v in vals]
+    if all(map(math.isfinite, keys)):
+        return [v for _, v in sorted(zip(keys, vals))]
+    return sorted(vals)
 
 
 def _impute_mode(cells):
@@ -376,12 +381,13 @@ def load_csv(path, spec: IngestionSpec) -> Dataset:
 
     Continuous columns are min-max scaled to [0, 1]; categorical cells are
     mapped to vocabulary indices (vocabularies come from the spec when closed,
-    otherwise from the sorted distinct values in the file). Missing cells
-    (``?``) are imputed with the column mode (categorical) or median
-    (continuous). Raises :class:`IngestionError` on a file that cannot be
-    read or is not UTF-8, malformed input, a spec column named twice in the
-    header, a missing label (``?`` or an empty cell), a continuous cell that
-    is not a finite number (``nan``, ``inf`` and ``1e400`` included),
+    otherwise from the distinct values in the file, ordered as the label
+    values are by ``_sort_values``). Missing cells (``?``) are imputed with
+    the column mode (categorical) or median (continuous). Raises
+    :class:`IngestionError` on a file that cannot be read or is not UTF-8,
+    malformed input, a spec column named twice in the header, a missing label
+    (``?`` or an empty cell), a continuous cell that is not a finite ASCII
+    decimal number (``nan``, ``inf``, ``1e400``, ``0_5``, non-ASCII digits),
     unknown closed-vocabulary categories, or constant continuous columns.
     """
     path = Path(path)
@@ -453,10 +459,7 @@ def load_csv(path, spec: IngestionSpec) -> Dataset:
             for r, v in enumerate(cells):
                 if v == MISSING_CELL:
                     continue
-                try:
-                    value = float(v)
-                except ValueError:
-                    value = math.nan
+                value = _ascii_decimal(v)
                 if not math.isfinite(value):
                     raise IngestionError(
                         f"{path}: row {r + 2}: cannot parse {v!r} "
@@ -489,7 +492,8 @@ def encode_instance(schema: FeatureSchema, norm_params, raw: dict) -> np.ndarray
     Categorical values are looked up in the vocabulary; continuous values are
     min-max scaled with the dataset's recorded parameters and clamped, so
     finite query points outside the training range stay representable; a
-    value that is not a finite number is an error. A model loaded without
+    value that is not a finite number, or text that is not an ASCII decimal,
+    is an error. A model loaded without
     ``norm_params`` cannot scale them: :class:`ModelFormatError`.
     """
     x = np.empty(schema.arity, dtype=np.float64)
@@ -509,8 +513,9 @@ def encode_instance(schema: FeatureSchema, norm_params, raw: dict) -> np.ndarray
                                    "to scale a raw value with")
         else:
             try:
-                value = None if isinstance(v, bool) else float(v)
-            except (TypeError, ValueError):
+                value = (None if isinstance(v, bool) else
+                         _ascii_decimal(v) if isinstance(v, str) else float(v))
+            except TypeError:
                 value = None
             except OverflowError:  # an integer past the float range
                 value = math.inf

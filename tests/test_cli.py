@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -536,8 +539,15 @@ def _first_row_and_continuous_feature(ws):
     return raw, next(f.name for f in schema.features if not f.is_categorical)
 
 
-@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "1e400", "NaN", "1" + "0" * 400],
-                         ids=["inf", "-inf", "1e400", "nan", "int-past-float"])
+# float() also reads digit-group underscores and non-ASCII digits.
+NOT_ASCII_DECIMAL = ["0_5", "1_000", "\u0661", "\u0663.\u0665"]
+NOT_ASCII_DECIMAL_IDS = ["0_5", "1_000", "arabic-1", "arabic-3.5"]
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "1e400", "NaN", "1" + "0" * 400,
+                                   *map(json.dumps, NOT_ASCII_DECIMAL)],
+                         ids=["inf", "-inf", "1e400", "nan", "int-past-float",
+                              *(f"{i}-string" for i in NOT_ASCII_DECIMAL_IDS)])
 def test_non_finite_instance_value_exit_3(ws, tmp_path, capsys, value):
     raw, name = _first_row_and_continuous_feature(ws)
     inst = tmp_path / "instance.json"
@@ -547,19 +557,48 @@ def test_non_finite_instance_value_exit_3(ws, tmp_path, capsys, value):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("cell", ["inf", "-inf", "1e400", "nan"])
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e400", "nan", *NOT_ASCII_DECIMAL],
+                         ids=["inf", "-inf", "1e400", "nan", *NOT_ASCII_DECIMAL_IDS])
 def test_non_finite_csv_cell_exit_3(ws, tmp_path, capsys, cell):
     _, name = _first_row_and_continuous_feature(ws)
     with open(ws["data"], newline="") as fh:
         rows = list(csv.reader(fh))
     rows[3][rows[0].index(name)] = cell
     data, model = tmp_path / "data.csv", tmp_path / "model.json"
-    with open(data, "w", newline="") as fh:
+    with open(data, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
     assert main(["train", "--data", str(data), "--spec", ws["spec"], "--out", str(model)]) == 3
     want = f"row 4: cannot parse {cell!r} as a finite number for column {name!r}"
     assert want in capsys.readouterr().err
     assert not model.exists()
+
+
+def test_train_writes_the_same_model_under_any_hash_seed(tmp_path):
+    # An open vocabulary and the label values are read from sets of cells.
+    # Under hash seeds 1 and 3, a float sort key, which leaves nan unordered
+    # and ties 1 with 1.0, put both in two different orders.
+    cats, labels = ["nan", "1", "2", "3", "10"], ["nan", "1", "1.0"]
+    rows = [f"{cats[i % 5]},{i / 7:.3f},{labels[i * 7 // 5 % 3]}" for i in range(60)]
+    (tmp_path / "d.csv").write_text("c,x,class\n" + "\n".join(rows) + "\n")
+    spec = {"label": "class",
+            "features": [{"name": "c", "kind": "cat"}, {"name": "x", "kind": "cont"}]}
+    (tmp_path / "s.json").write_text(json.dumps(spec))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    models = []
+    for seed in ("1", "3"):
+        out = f"model{seed}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cafa.cli", "train", "--data", "d.csv", "--spec", "s.json",
+             "--out", out, "--trees", "3"],
+            cwd=tmp_path, env={**env, "PYTHONHASHSEED": seed}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        models.append((tmp_path / out).read_bytes())
+    assert models[0] == models[1]
+    doc = json.loads(models[0])
+    assert doc["schema"]["features"][0]["vocabulary"] == ["1", "10", "2", "3", "nan"]
+    assert doc["label_values"] == ["1", "1.0", "nan"]
 
 
 def test_model_errors_exit_4(ws, tmp_path):

@@ -1,4 +1,4 @@
-"""Shapley engines, the weighted-linear baseline, and aggregation."""
+"""Shapley engines and the weighted-linear baseline."""
 
 import json
 import math
@@ -10,10 +10,8 @@ import pytest
 from cafa.bench import SynthSpec, covid_preset, generate_synth, train_test_split
 from cafa.errors import FitError, InvalidInputError, SizeLimitError
 from cafa.explain import (
-    Attribution,
     Background,
     derive_seed,
-    global_explanation,
     lime_explain,
     shapley_exact,
     shapley_forest,
@@ -602,41 +600,6 @@ def test_lime_categorical_match_indicator():
     attr = lime_explain(f, np.array([1.0, 0.5]), schema, n_samples=800, seed=3)
     assert attr.phi[0] > 0.3
     assert abs(attr.phi[1]) < 0.1
-
-
-# --- aggregation ------------------------------------------------------------
-
-def _attr(phi):
-    return Attribution(phi=np.asarray(phi, dtype=float), phi0=0.0, method="exact-shap")
-
-
-def test_global_explanation_examples():
-    one = global_explanation([_attr([1.0, -2.0])])
-    assert np.array_equal(one.mean_phi, [1.0, -2.0])
-    assert np.array_equal(one.mean_abs_phi, [1.0, 2.0])
-
-    two = global_explanation([_attr([1.0, -1.0]), _attr([3.0, 1.0])])
-    assert np.array_equal(two.mean_phi, [2.0, 0.0])
-    assert np.array_equal(two.mean_abs_phi, [2.0, 1.0])
-    assert two.n_instances == 2
-
-
-def test_global_explanation_matches_resummation_oracle():
-    rng = np.random.default_rng(0)
-    phis = rng.normal(size=(100, 6))
-    agg = global_explanation([_attr(p) for p in phis])
-    want_mean = np.array([math.fsum(phis[:, j]) / 100 for j in range(6)])
-    want_abs = np.array([math.fsum(abs(v) for v in phis[:, j]) / 100 for j in range(6)])
-    assert np.max(np.abs(agg.mean_phi - want_mean)) <= 1e-12
-    assert np.max(np.abs(agg.mean_abs_phi - want_abs)) <= 1e-12
-
-
-def test_global_explanation_validation_and_ranking():
-    with pytest.raises(InvalidInputError):
-        global_explanation([])
-    agg = global_explanation([_attr([1.0, -3.0, 1.0])])
-    # strictly decreasing |phi|, ties resolved by feature index
-    assert list(agg.ranking()) == [1, 0, 2]
 
 
 # --- background and seeds ---------------------------------------------------

@@ -191,7 +191,7 @@ def test_save_load_round_trip(tmp_path):
     again = RandomForest.load(p)
     assert np.array_equal(model.predict_proba(data.X), again.predict_proba(data.X))
     assert again.params == model.params
-    assert again.schema == model.schema
+    assert again.schema.features == model.schema.features
     assert again.norm_params == model.norm_params
 
 

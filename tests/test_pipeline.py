@@ -23,6 +23,7 @@ from cafa.explain import Background, derive_seed, shapley_exact, shapley_forest
 from cafa.forest import ForestParams, train_forest
 from cafa.pipeline import (
     CafaConfig,
+    GlobalCafaResult,
     cafa_global,
     cafa_local,
     compare_with_shap,
@@ -307,6 +308,15 @@ def test_global_two_instance_aggregate(synth_task):
     assert np.max(np.abs(g.mean_abs_phi - (np.abs(p0) + np.abs(p1)) / 2)) <= 1e-12
     unc = data.schema.uncontrollable_idx
     assert np.all(g.mean_abs_phi[unc] == 0.0)
+
+
+def test_global_ranking_breaks_ties_by_feature_index():
+    phis = np.array([[1.0, -3.0, 1.0]])
+    g = GlobalCafaResult(phis=phis, mean_phi=phis[0], mean_abs_phi=np.abs(phis[0]),
+                         per_instance=(), skipped=(), pi=0.5)
+    # strictly decreasing mean |phi|, ties resolved by feature index
+    assert list(g.ranking()) == [1, 0, 2]
+    assert g.n_explained == 1
 
 
 def test_global_skips_degenerate_instances_and_reports():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -15,7 +16,8 @@ from cafa.reports import (
     write_attribution_csv,
     write_attribution_json,
     write_global_csv,
-    write_run_meta,
+    write_global_run,
+    write_run,
 )
 from cafa.svg import bar_chart, summary_chart
 
@@ -73,10 +75,8 @@ def test_artifacts_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
     for d in (a, b):
-        write_attribution_csv(d / "attribution.csv", ATTR, NAMES)
-        write_attribution_json(d / "attribution.json", ATTR, NAMES)
-        write_run_meta(d / "run_meta.json", {"seed": 11, "command": "explain"})
-        render_local_charts(d, ATTR, NAMES, per_row_phi=np.array([[0.1, -0.2, 0.0, 0.3]] * 3))
+        write_run(d, ATTR, NAMES, {"seed": 11, "command": "explain"},
+                  per_row_phi=np.array([[0.1, -0.2, 0.0, 0.3]] * 3))
     for name in ("attribution.csv", "attribution.json", "run_meta.json", "bars.svg", "summary.svg"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
@@ -91,6 +91,42 @@ def test_global_csv(tmp_path):
         ["b", "-0.4", "0.4"],
         ["a", "0.1", "0.1"],
     ]
+
+
+def _global_means(run_dir):
+    """``{feature: (mean, mean_abs)}`` from a global run's CSV and from its JSON,
+    and the JSON's ``n_explained``."""
+    with open(run_dir / "attribution.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    doc = json.loads((run_dir / "attribution.json").read_text())
+    from_csv = {r[0]: (float(r[1]), float(r[2])) for r in rows}
+    from_json = {e["feature"]: (e["mean"], e["mean_abs"]) for e in doc["phi"]}
+    return from_csv, from_json, doc["n_explained"]
+
+
+def test_global_run_examples(tmp_path):
+    write_global_run(tmp_path / "one", [[1.0, -2.0]], ["a", "b"], {}, {})
+    from_csv, from_json, n = _global_means(tmp_path / "one")
+    assert from_csv == from_json == {"a": (1.0, 1.0), "b": (-2.0, 2.0)} and n == 1
+
+    write_global_run(tmp_path / "two", [[1.0, -1.0], [3.0, 1.0]], ["a", "b"], {"k": 1}, {})
+    from_csv, from_json, n = _global_means(tmp_path / "two")
+    assert from_csv == from_json == {"a": (2.0, 2.0), "b": (0.0, 1.0)} and n == 2
+    assert json.loads((tmp_path / "two" / "attribution.json").read_text())["k"] == 1
+
+
+def test_global_run_matches_resummation_oracle(tmp_path):
+    rng = np.random.default_rng(0)
+    phis = rng.normal(size=(100, 6))
+    names = [f"f{j}" for j in range(6)]
+    write_global_run(tmp_path, phis, names, {"method": "test"}, {"command": "test"})
+    from_csv, from_json, n = _global_means(tmp_path)
+    assert n == 100
+    for j, name in enumerate(names):
+        want_mean = math.fsum(phis[:, j]) / 100
+        want_abs = math.fsum(abs(v) for v in phis[:, j]) / 100
+        for mean, mean_abs in (from_csv[name], from_json[name]):
+            assert abs(mean - want_mean) <= 1e-12 and abs(mean_abs - want_abs) <= 1e-12
 
 
 def test_svg_is_wellformed_xml():
