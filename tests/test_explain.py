@@ -1,5 +1,6 @@
 """Shapley engines and the weighted-linear baseline."""
 
+import hashlib
 import json
 import math
 from itertools import combinations
@@ -520,9 +521,10 @@ def test_tree_path_depth_14_forest():
     _assert_exact(forest, X, Background(rows), pinned=[2])
 
 
-def test_tree_path_slots_beyond_64():
-    # masks span two 64-bit words: a chain of 64 tests every row passes,
-    # then one test on each other feature, first tested past depth 64
+def _chain_72_case():
+    """``_tree_case`` plus one tree whose fail masks span two 64-bit words: a
+    chain of 64 tests every row passes, then one test on each other
+    feature, first tested past depth 64."""
     forest, x, bg = _tree_case(9, 12, seed=8)
     schema = forest.schema
     cont = int(np.flatnonzero(~schema.is_categorical)[0])
@@ -541,22 +543,82 @@ def test_tree_path_slots_beyond_64():
                                       np.linspace(0.1, 0.9, 2 * d + 1)]).tolist(),
     }
     forest = forest_of(schema, [*forest.to_dict()["trees"], chain])
-    assert forest.depths.max() == d == 72
     X = np.vstack([x, bg.rows[0], np.where(np.arange(9) % 2, x, bg.rows[-1])])
+    return forest, X, bg
+
+
+def test_tree_path_slots_beyond_64():
+    forest, X, bg = _chain_72_case()
+    assert forest.depths.max() == 72
     _assert_exact(forest, X, bg, pinned=[0, 3, 6])
 
 
-def test_tree_path_peak_memory():
+def _covid_surrogate_case():
+    """The README quickstart's surrogate shape: 100 depth-8 trees on 200
+    covid rows, explaining those rows against 60 of them."""
+    data = covid_preset(seed=0)
+    _, nb = train_test_split(data, 200 / data.n_rows, seed=0)
+    surrogate = train_forest(nb, ForestParams(n_trees=100, max_depth=8, seed=0))
+    return surrogate, nb.X, Background.from_dataset(nb, 60)
+
+
+def _noisy_deep_case(m, n_rows, seed):
+    data = generate_synth(SynthSpec(m_controllable=m, m_uncontrollable=0, n_rows=n_rows,
+                                    seed=1, noise=0.3))
+    forest = train_forest(data, ForestParams(n_trees=3, max_depth=40, min_leaf=1, seed=seed))
+    return forest, data.X[:40], Background(data.X[40:80])
+
+
+def _deep_case():
+    forest, data = _deep_forest()
+    return forest, data.X[:100], Background(data.X[100:150])
+
+
+# One seeded input per fail-mask width, by forest depth, and the sha256 of
+# per_row_phi.tobytes() and phi0.hex() from the leaf-chunked kernel. The
+# chunk boundaries fix the order of every float sum, so any change to the
+# kernel that keeps that order keeps these bits.
+PINNED_PHI = {
+    "depth_8": (_covid_surrogate_case, 8,
+                "6e657e75f7d635693ff90695817518fc28bee3960aacf0357c7ac3c1501ecb1a",
+                "0x1.32f97d515cc44p-1"),
+    "depth_14": (_deep_case, 14,
+                 "198c0bc7c7e7693cabbfe175454bf73293421cfbce1d71f10335f300bd4ed5c8",
+                 "0x1.eebd004ae5f60p-2"),
+    "depth_22": (lambda: _noisy_deep_case(8, 2000, 3), 22,
+                 "4e0eaf156bf91e9d39e789b923b2a0222b679dee3cd3c5e87912bd88d01c2d56",
+                 "0x1.9999999999999p-2"),
+    "depth_33": (lambda: _noisy_deep_case(3, 3000, 3), 33,
+                 "910ee186e35b7546b5d67b8b309f62c4f1981f4f00cf66ae8c3dd5c6cc3461e8",
+                 "0x1.e666666666666p-2"),
+    "depth_72": (_chain_72_case, 72,
+                 "99ecea6d4f8d4bbeba60ac7f985fedc80ed91851a7ef51af9ab0d70153e52a31",
+                 "0x1.5cebf90456008p-1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_PHI))
+def test_tree_path_bits_are_pinned(case):
+    make, depth, want_phi, want_phi0 = PINNED_PHI[case]
+    forest, X, bg = make()
+    assert forest.depths.max() == depth
+    phi, phi0 = shapley_forest(forest, X, bg)
+    assert hashlib.sha256(phi.tobytes()).hexdigest() == want_phi
+    assert phi0.hex() == want_phi0
+
+
+def test_tree_path_peak_memory(breast_data):
     # the per-leaf pass matrices, fail masks and mask pairs are chunked to
     # about _TREE_CHUNK_BYTES each; the dense pair scorer this replaced
     # peaked at 1.34 MiB on the covid-shaped input
     bound = 1.35 * 2**20
-    data = covid_preset(seed=0)
-    _, nb = train_test_split(data, 200 / data.n_rows, seed=0)
-    surrogate = train_forest(nb, ForestParams(n_trees=100, max_depth=8, seed=0))
-    assert peak_bytes(shapley_forest, surrogate, nb.X, Background.from_dataset(nb, 60)) <= bound
-    deep, data = _deep_forest()
-    assert peak_bytes(shapley_forest, deep, data.X[:100], Background(data.X[100:150])) <= bound
+    assert peak_bytes(shapley_forest, *_covid_surrogate_case()) <= bound
+    assert peak_bytes(shapley_forest, *_deep_case()) <= bound
+    # breast-compare's surrogate shape: 150 depth-10 trees, 20 rows, 100 background rows
+    surrogate = train_forest(breast_data, ForestParams(n_trees=150, max_depth=10, seed=0))
+    assert surrogate.depths.max() == 10
+    X = breast_data.X
+    assert peak_bytes(shapley_forest, surrogate, X[:20], Background(X[20:120])) <= bound
 
 
 # --- LIME-style baseline ----------------------------------------------------
