@@ -10,7 +10,9 @@ A ``RandomForest`` is explained in closed form, leaf by leaf, by
 terms depend only on the leaf's path features each side fails, F_x and
 F_b: the pair reaches the leaf iff they are disjoint, and then the
 features in A = F_b gain and those in C = F_x lose. So each leaf scores
-every pair of distinct fail masks once, not every pair of rows.
+every disjoint pair of distinct fail masks once, not every pair of rows.
+Each split's outcome on every row is computed once per call, and fail
+masks are kept in the narrowest unsigned type that holds a path's slots.
 
 ``shapley_exact`` (up to ``EXACT_LIMIT`` features) and ``shapley_mc``
 serve any other ``predict_proba`` model. Both score the dense grid of
@@ -33,10 +35,13 @@ from .schema import Dataset, FeatureSchema
 # any feature count.
 _BATCH_BYTES = 8 * 2**20
 EXACT_LIMIT = 15  # most features shapley_exact enumerates (2^15 coalitions)
-# Bytes per temporary of the tree explainer: a leaf chunk's (leaves, path
-# slots, rows) arrays and a pair batch's (path slots, mask pairs) ones. It
-# trades memory for speed: 4x the budget ran the benchmark's surrogates
-# about 20% faster but peaked at 3-4 MiB instead of 1-1.25 MiB.
+# Bytes per temporary of the tree explainer: a slice of the split outcome
+# table, a block of leaves' fail masks and their sort order, a pair batch's
+# disjointness tests and pair lists, and a leaf chunk's (rows, leaves, path
+# slots) terms. The chunk, _TREE_CHUNK_BYTES // (8 * D * rows) leaves, also
+# fixes the float summation order, so the output bits depend on this value.
+# 4x the budget runs the benchmark's surrogates within 5% of the same time
+# but peaks at 2.2-3 MiB instead of 0.8-1.2 MiB.
 _TREE_CHUNK_BYTES = 256 * 1024
 
 
@@ -168,17 +173,20 @@ def shapley_mc(f, x, bg: Background, n_perms: int = 2000, seed: int = 0) -> Attr
 def _forest_paths(forest):
     """Root-to-leaf paths of the leaves with a positive class-1 value.
 
-    Returns the forest's node fields (``feature``, ``threshold``, and
-    ``is_cat`` as ``RandomForest.is_cat`` derives it), ``path``, the
-    ``(L, D)`` node indices of each leaf's tests padded with -1 to the
-    forest depth ``D``, ``went_left``, whether the path takes each node's
-    left branch (to the next record), and ``v``, the leaf's class-1
-    probability divided by the tree count. Leaves with ``v == 0`` add
-    nothing to any Shapley value and are dropped.
+    Returns the forest's splits, its inner nodes in node order, as
+    ``feature``, ``threshold`` and ``is_cat`` (as ``RandomForest.is_cat``
+    derives it); ``path``, the ``(L, D)`` split numbers of each leaf's
+    tests padded with -1 to the forest depth ``D``; ``went_right``, whether
+    the path takes each split's right branch (False on padding); and ``v``,
+    the leaf's class-1 probability divided by the tree count. Leaves with
+    ``v == 0`` add nothing to any Shapley value and are dropped.
     """
     nodes, starts = forest.nodes, forest.starts
     offset = np.repeat(starts[:-1], np.diff(starts))
     feature = nodes["feature"]
+    inner = feature >= 0
+    # Split numbers, and -1, in the narrowest signed type that holds them.
+    split = (np.cumsum(inner) - 1).astype(np.min_scalar_type(-max(1, int(inner.sum()))))
     # A split's left child is the next record; its right one is tree-local.
     right = nodes["right"] + offset
     value = forest.leaf_prob[:, 1] / (starts.size - 1)
@@ -186,44 +194,217 @@ def _forest_paths(forest):
 
     # Walk all trees one level at a time, extending every open path.
     node = starts[:-1]
-    path = np.empty((node.size, 0), dtype=np.int64)
-    went_left = np.empty((node.size, 0), dtype=bool)
-    leaves, paths, lefts = [], [], []
+    path = np.empty((node.size, 0), dtype=split.dtype)
+    went_right = np.empty((node.size, 0), dtype=bool)
+    leaves, paths, rights = [], [], []
     for d in range(D + 1):
-        at_leaf = feature[node] < 0
+        at_leaf = ~inner[node]
         keep = at_leaf & (value[node] > 0.0)
         leaves.append(node[keep])
         paths.append(np.pad(path[keep], ((0, 0), (0, D - d)), constant_values=-1))
-        lefts.append(np.pad(went_left[keep], ((0, 0), (0, D - d))))
-        inner = ~at_leaf
-        parent = node[inner]
+        rights.append(np.pad(went_right[keep], ((0, 0), (0, D - d))))
+        parent = node[~at_leaf]
         node = np.concatenate([parent + 1, right[parent]])
-        path = np.tile(np.column_stack([path[inner], parent]), (2, 1))
-        went_left = np.column_stack([
-            np.tile(went_left[inner], (2, 1)), np.repeat([True, False], parent.size),
+        path = np.tile(np.column_stack([path[~at_leaf], split[parent]]), (2, 1))
+        went_right = np.column_stack([
+            np.tile(went_right[~at_leaf], (2, 1)), np.repeat([False, True], parent.size),
         ])
-    return (feature, nodes["threshold"], forest.is_cat, np.concatenate(paths),
-            np.concatenate(lefts), value[np.concatenate(leaves)])
+    return (feature[inner], nodes["threshold"][inner], forest.is_cat[inner],
+            np.concatenate(paths), np.concatenate(rights), value[np.concatenate(leaves)])
 
 
-def _distinct_masks(masks: np.ndarray):
-    """Distinct fail masks under each leaf, by a row-wise sort.
+def _split_outcomes(feature, threshold, is_cat, Z: np.ndarray) -> np.ndarray:
+    """Whether each row of ``Z`` takes each split's right branch.
 
-    ``masks`` holds the ``(W, l, r)`` 64-bit mask words of r rows under each
-    of l leaves. The G distinct (leaf, mask) pairs are numbered leaf by
-    leaf. Returns the ``(l * r,)`` number of each (leaf, row) entry and, per
-    distinct mask, its ``(W, G)`` words, its row count and its leaf.
+    A test sends a row left iff low <= value <= high: a categorical one on
+    equality, a continuous one on value <= threshold. Returns split s's bits
+    in row s, packed eight rows to a byte (little bit order), then an
+    all-zero row, which path padding (-1) reads.
+    """
+    S, R = feature.size, Z.shape[0]
+    ZT = np.ascontiguousarray(Z.T)
+    out = np.zeros((S + 1, -(-R // 8)), dtype=np.uint8)
+    step = max(1, _TREE_CHUNK_BYTES // (8 * R))
+    for lo in range(0, S, step):
+        sl = slice(lo, min(lo + step, S))
+        high = threshold[sl, None].astype(np.float64)
+        low = np.where(is_cat[sl, None], high, -np.inf)
+        vals = ZT[feature[sl]]
+        out[sl] = np.packbits(~((vals >= low) & (vals <= high)), axis=1, bitorder="little")
+    return out
+
+
+def _fail_masks(outcome, path, went_right, feat, R, dtype):
+    """Fail masks of R rows under each of l leaves, and each path position's slot.
+
+    A path feature's tests all land in one slot, the position of its first
+    test; padding keeps its own, empty, position. Bit s % 64 of word s // 64
+    of a row's mask is set iff the row fails a test in slot s. Returns the
+    ``(W, l, R)`` masks, words of ``dtype``, and the ``(l, D)`` slots.
+    """
+    l, D = path.shape
+    real = feat >= 0
+    first = np.argmax((feat[:, :, None] == feat[:, None, :]) & real[:, None, :], axis=2)
+    slot = np.where(real, first, np.arange(D))
+    masks = np.zeros((-(-D // 64), l, R), dtype=dtype)
+    word, bit = slot // 64, (slot % 64).astype(dtype)
+    for d in range(D):
+        fail = np.unpackbits(outcome[path[:, d]], axis=1, count=R, bitorder="little")
+        fail ^= went_right[:, d, None].view(np.uint8)
+        fail = fail.astype(dtype)
+        fail <<= bit[:, d, None]
+        if masks.shape[0] == 1:
+            masks[0] |= fail
+        else:
+            for w in range(masks.shape[0]):
+                np.bitwise_or(masks[w], fail, out=masks[w], where=word[:, d, None] == w)
+    return masks, slot
+
+
+def _mask_bits(masks: np.ndarray, D: int) -> np.ndarray:
+    """``(G, D)`` slot bits, 0 or 1, of the ``(W, G)`` mask words of G masks."""
+    words = np.ascontiguousarray(masks.T, dtype=masks.dtype.newbyteorder("<"))
+    return np.unpackbits(words.view(np.uint8), axis=1, count=D, bitorder="little")
+
+
+def _first_of_run(ranked: np.ndarray) -> np.ndarray:
+    """``(l, r)``: whether each of a leaf's sorted masks, ``(W, l, r)``
+    words, differs from the one before it."""
+    new = np.ones(ranked.shape[1:], dtype=bool)
+    new[:, 1:] = (ranked[:, :, 1:] != ranked[:, :, :-1]).any(axis=0)
+    return new
+
+
+def _leaf_of(new: np.ndarray) -> np.ndarray:
+    """The leaf of each distinct mask that ``_first_of_run`` marks."""
+    l = new.shape[0]
+    return np.repeat(np.arange(l, dtype=np.min_scalar_type(l)), new.sum(axis=1))
+
+
+def _number_masks(masks: np.ndarray):
+    """Distinct fail masks under each leaf, numbered by a row-wise sort.
+
+    ``masks`` holds the ``(W, l, r)`` mask words of r rows under each of l
+    leaves. The G distinct (leaf, mask) pairs are numbered leaf by leaf, in
+    increasing mask order. Returns the ``(l, r)`` number of each (leaf,
+    row) entry, and each distinct mask's ``(W, G)`` words and its leaf.
     """
     W, l, r = masks.shape
-    order = np.lexsort(masks, axis=-1) if W > 1 else np.argsort(masks[0], axis=-1)
+    order = np.lexsort(masks, axis=-1) if W > 1 else np.argsort(masks[0], axis=-1, kind="stable")
     ranked = np.take_along_axis(masks, order[None], axis=-1)
-    new = np.ones((l, r), dtype=bool)
-    new[:, 1:] = (ranked[:, :, 1:] != ranked[:, :, :-1]).any(axis=0)
-    new = new.ravel()
-    number = np.empty(l * r, dtype=np.intp)
-    number[(order + np.arange(0, l * r, r)[:, None]).ravel()] = np.cumsum(new) - 1
-    starts = np.flatnonzero(new)
-    return number, ranked.reshape(W, -1)[:, starts], np.diff(starts, append=l * r), starts // r
+    new = _first_of_run(ranked)
+    rank = np.cumsum(new, dtype=np.min_scalar_type(l * r)).reshape(l, r)
+    rank -= 1
+    number = np.empty_like(rank)
+    np.put_along_axis(number, order, rank, axis=1)
+    return number, ranked[:, new], _leaf_of(new)
+
+
+def _count_masks(masks: np.ndarray):
+    """Distinct fail masks under each leaf, in increasing order.
+
+    Returns each distinct mask's ``(W, K)`` words, the number of rows that
+    have it, and its leaf.
+    """
+    W, l, r = masks.shape
+    if W == 1:
+        ranked = np.sort(masks, axis=-1, kind="stable")
+    else:
+        ranked = np.take_along_axis(masks, np.lexsort(masks, axis=-1)[None], axis=-1)
+    new = _first_of_run(ranked)
+    count = np.add.reduceat(np.ones(l * r, dtype=np.min_scalar_type(r)), np.flatnonzero(new))
+    return ranked[:, new], count, _leaf_of(new)
+
+
+def _pair_sums(x_masks, x_size, x_leaf, bg_side, weights):
+    """What row masks gain and lose over their disjoint background masks.
+
+    ``bg_side`` holds a block's background masks: their words padded per
+    leaf, ``(W, l, kmax)``, the count and first number of each leaf's
+    masks, and per mask its ``(W, K)`` words, ``|A| * (D + 1)`` and row
+    count. Row mask u pairs with each disjoint background mask of its leaf,
+    in increasing mask order, and ``weights[:, |A|, |C|]`` weighs the pair.
+    Returns ``gain``, ``(U, D)``, what slot s earns as a member of A = F_b,
+    and ``loss``, ``(U,)``, what each slot of C = F_x pays, each summed
+    over u's pairs in that order.
+    """
+    padded, K, k_off, b_masks, b_cell, b_count = bg_side
+    U, D = x_size.size, weights.shape[2] - 1
+    w_in, w_out = weights.reshape(2, -1)
+    ok = np.arange(padded.shape[2]) < K[x_leaf, None]
+    for w in range(padded.shape[0]):
+        ok &= (x_masks[w, :, None] & padded[w, x_leaf]) == 0
+    pu, pk = np.divmod(np.flatnonzero(ok), ok.shape[1])
+    del ok
+    pk += k_off[x_leaf[pu]]
+    cell = b_cell[pk] + x_size[pu]
+    count = b_count[pk]
+    loss = np.bincount(pu, w_out[cell] * count, minlength=U)
+    weight = w_in[cell] * count
+    pair_masks = b_masks[:, pk]
+    gain = np.empty((U, D))
+    for s in range(D):
+        bit = (pair_masks[s // 64] >> (s % 64)) & 1
+        gain[:, s] = np.bincount(pu, weight * bit, minlength=U)
+    return gain, loss
+
+
+def _cuts(cost: np.ndarray, cap: int) -> list:
+    """Cut items into runs of at least one item, each costing at most
+    ``cap`` if it can; ``cost`` is the cumulative cost, from 0."""
+    cuts = [0]
+    while cuts[-1] < cost.size - 1:
+        end = int(np.searchsorted(cost, cost[cuts[-1]] + cap, side="right")) - 1
+        cuts.append(max(cuts[-1] + 1, end))
+    return cuts
+
+
+def _add_block(phi, masks, slot, feat, v, n, step, weights):
+    """Add the terms of a block of whole chunks of leaves to ``phi``.
+
+    Distinct masks are numbered, and their disjoint pairs listed, over the
+    block; each chunk's terms go into ``phi`` as one product.
+    """
+    W, l, R = masks.shape
+    D, m = slot.shape[1], phi.shape[1]
+    row_u, x_masks, x_leaf = _number_masks(masks[:, :, :n])
+    b_masks, b_count, b_leaf = _count_masks(masks[:, :, n:])
+    K = np.bincount(b_leaf, minlength=l)
+    k_off = np.cumsum(K) - K
+    padded = np.zeros((W, l, int(K.max())), dtype=b_masks.dtype)
+    padded[:, b_leaf, np.arange(b_leaf.size) - k_off[b_leaf]] = b_masks
+    del b_leaf
+    b_cell = _mask_bits(b_masks, D).sum(axis=1, dtype=np.min_scalar_type((D + 1) ** 2))
+    b_cell *= D + 1
+    bg_side = padded, K, k_off, b_masks, b_cell, b_count
+
+    # What one row mask of each leaf costs a batch: its padded pair tests,
+    # its slot sums and its pair lists. A group of whole chunks is one
+    # batch within the budget, or one chunk in several.
+    u_cost = padded.shape[2] * (W * padded.itemsize + 1) + 8 * D + 8 * K
+    chunk_at = np.arange(0, l + step, step).clip(max=l)
+    u_at = np.searchsorted(x_leaf, chunk_at).tolist()
+    cost = np.concatenate([[0], np.cumsum(np.bincount(x_leaf, minlength=l) * u_cost)])
+    groups = _cuts(cost[chunk_at], _TREE_CHUNK_BYTES)
+    owns = (slot == np.arange(D)) & (feat >= 0)
+    for c, c1 in zip(groups, groups[1:]):
+        ua, ub = u_at[c], u_at[c1]
+        cuts = [ua + i for i in _cuts(np.concatenate([[0], np.cumsum(u_cost[x_leaf[ua:ub]])]),
+                                      _TREE_CHUNK_BYTES)]
+        x_bits = _mask_bits(x_masks[:, ua:ub], D)
+        x_size = x_bits.sum(axis=1)
+        sums = [_pair_sums(x_masks[:, a:b], x_size[a - ua : b - ua], x_leaf[a:b], bg_side, weights)
+                for a, b in zip(cuts, cuts[1:])]
+        contrib, loss = sums[0] if len(sums) == 1 else map(np.concatenate, zip(*sums))
+        del sums
+        contrib += x_bits * loss[:, None]
+        contrib *= v[x_leaf[ua:ub], None]
+        for lo in range(c * step, min(l, c1 * step), step):
+            hi = min(l, lo + step)
+            at = np.flatnonzero(owns[lo:hi])
+            to_feature = np.zeros(((hi - lo) * D, m))
+            to_feature[at, feat[lo:hi].ravel()[at]] = 1.0
+            phi += contrib[row_u[lo:hi].T - ua].reshape(n, -1) @ to_feature
 
 
 def shapley_forest(forest, X, bg: Background) -> tuple[np.ndarray, float]:
@@ -241,17 +422,25 @@ def shapley_forest(forest, X, bg: Background) -> tuple[np.ndarray, float]:
     F_x gets ``-v |A|! (|C|-1)! / (|A|+|C|)!`` (Lundberg et al. 2020).
 
     A pair's terms thus depend only on its two fail masks. Each leaf scores
-    every pair of a distinct row mask and a distinct background mask once,
-    weighted by the background mask's row count, and hands the result to
-    every row with that mask. No coalition row is built or scored. A column
-    on which x and every b agree never enters F_x or F_b, so its value is
-    exactly ``+0.0``, as is that of a feature no tree splits on.
+    every disjoint pair of a distinct row mask and a distinct background
+    mask once, weighted by the background mask's row count, and hands the
+    result to every row with that mask. No coalition row is built or
+    scored. A column on which x and every b agree never enters F_x or F_b,
+    so its value is exactly ``+0.0``, as is that of a feature no tree
+    splits on.
+
+    Integer work is shared: each split's outcome on every row of ``X`` and
+    the background is computed once per call, and distinct masks are
+    numbered, and their disjoint pairs listed, once per block of leaves.
+    Float work is not: the terms of each chunk of leaves go into the result
+    as one matrix product, so the chunk boundaries, set by
+    ``_TREE_CHUNK_BYTES``, fix the summation order and the output bits.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n, m = X.shape
     B = bg.size
     phi0 = float(_prob1(forest, bg.rows).mean())
-    feature, threshold, is_cat, path, went_left, v = _forest_paths(forest)
+    feature, threshold, is_cat, path, went_right, v = _forest_paths(forest)
     L, D = path.shape
     # Terms are only ever added to +0.0, so a column whose terms are all
     # zeros of either sign ends as +0.0.
@@ -260,95 +449,34 @@ def shapley_forest(forest, X, bg: Background) -> tuple[np.ndarray, float]:
     if D == 0 or n == 0:
         return phi, phi0
 
-    # Weights of a disjoint pair with |A| = a and |C| = c, at a * (D + 1) + c.
+    # Weights of a disjoint pair with |A| = a and |C| = c: [0, a, c] for
+    # each slot of A, [1, a, c] for each slot of C.
     fact = [math.factorial(i) for i in range(D + 1)]
-    w_in = np.zeros((D + 1) ** 2)
-    w_out = np.zeros_like(w_in)
+    weights = np.zeros((2, D + 1, D + 1))
     for a in range(D + 1):
         for c in range(D + 1 - a):
             if a:
-                w_in[a * (D + 1) + c] = fact[a - 1] * fact[c] / fact[a + c]
+                weights[0, a, c] = fact[a - 1] * fact[c] / fact[a + c]
             if c:
-                w_out[a * (D + 1) + c] = -fact[a] * fact[c - 1] / fact[a + c]
+                weights[1, a, c] = -fact[a] * fact[c - 1] / fact[a + c]
 
-    ZT = np.ascontiguousarray(np.vstack([X, bg.rows]).T)
-    # Every (leaves, path slots, rows) temporary of a chunk, and every
-    # (path slots, mask pairs) one of a batch of its pairs, stays within
+    R = n + B
+    outcome = _split_outcomes(feature, threshold, is_cat, np.vstack([X, bg.rows]))
+    feature = np.append(feature, -1)  # padding reads feature -1 and outcome's zero row
+    # Fail mask words: the narrowest unsigned type that holds min(D, 64) bits.
+    dtype = np.min_scalar_type((1 << min(D, 64)) - 1)
+    # A chunk's terms go into phi as one product, so chunk boundaries fix
+    # the float summation order. A block of whole chunks shares the integer
+    # work; its fail masks, their sort order and its slot tests stay within
     # the budget.
-    step = max(1, _TREE_CHUNK_BYTES // (8 * D * (n + B)))
-    pair_cap = _TREE_CHUNK_BYTES // (8 * D)
-    positions = np.arange(D)
-    # Path slot s is bit s % 64 of word s // 64 of a fail mask.
-    W = -(-D // 64)
-    word = positions // 64
-    bit = np.left_shift(np.uint64(1), (positions % 64).astype(np.uint64))
-    for lo in range(0, L, step):
-        p = path[lo : lo + step]
-        l = p.shape[0]
-        real = p >= 0
-        feat = np.where(real, feature[p], 0)
-        # A path feature's tests all land in one slot, the position of its
-        # first test; the other positions stay empty.
-        same = (feat[:, :, None] == feat[:, None, :]) & real[:, None, :]
-        slot = np.where(real, np.argmax(same, axis=2), positions)
-        # A test sends a row left iff low <= value <= high: a categorical
-        # one on equality, a continuous one on value <= threshold. Padding
-        # sends every row left and counts as a left branch, so no row fails it.
-        high = np.where(real, threshold[p], np.inf)
-        low = np.where(real & is_cat[p], high, -np.inf)
-        vals = ZT[feat]  # (l, D, n + B)
-        fails = (vals >= low[:, :, None]) & (vals <= high[:, :, None])
-        del vals
-        fails = fails != (went_left[lo : lo + step] | ~real)[:, :, None]
-        masks = np.empty((W, l, n + B), dtype=np.uint64)
-        for w in range(W):
-            test_bit = np.where(word[slot] == w, bit[slot], np.uint64(0))[:, :, None]
-            np.bitwise_or.reduce(np.where(fails, test_bit, np.uint64(0)), axis=1, out=masks[w])
-        del fails
-
-        # Distinct masks of the rows (u) and of the background (k).
-        row_u, x_masks, _, x_leaf = _distinct_masks(masks[:, :, :n])
-        _, b_masks, b_count, b_leaf = _distinct_masks(masks[:, :, n:])
-        x_bits = (x_masks[word] & bit[:, None]) != 0  # (D, U)
-        b_bits = ((b_masks[word] & bit[:, None]) != 0).astype(np.float64)  # (D, K)
-        x_size = x_bits.sum(axis=0)
-        b_cell = b_bits.sum(axis=0).astype(np.intp) * (D + 1)
-        K = np.bincount(b_leaf, minlength=l)
-        # Row mask u pairs with the K[leaf] background masks of its leaf;
-        # pair i of a chunk is background mask i - k_off[u]. gain[s, u] is
-        # what slot s earns as a member of A = F_b, loss[u] what each slot
-        # of C = F_x pays, over u's disjoint pairs.
-        nk = K[x_leaf]
-        ends = np.cumsum(nk)
-        k_off = ends - nk - (np.cumsum(K) - K)[x_leaf]
-        U = x_leaf.size
-        gain = np.zeros((D, U))
-        loss = np.zeros(U)
-        u0 = 0
-        while u0 < U:
-            first = ends[u0] - nk[u0]
-            u1 = max(u0 + 1, int(np.searchsorted(ends, first + pair_cap, side="right")))
-            reps = nk[u0:u1]
-            pu = np.repeat(np.arange(u1 - u0), reps)
-            pk = np.arange(first, ends[u1 - 1]) - np.repeat(k_off[u0:u1], reps)
-            disjoint = (x_masks[0, u0 + pu] & b_masks[0, pk]) == 0
-            for w in range(1, W):
-                disjoint &= (x_masks[w, u0 + pu] & b_masks[w, pk]) == 0
-            pu, pk = pu[disjoint], pk[disjoint]
-            cell = b_cell[pk] + x_size[u0 + pu]
-            loss[u0:u1] = np.bincount(pu, w_out[cell] * b_count[pk], minlength=u1 - u0)
-            terms = b_bits[:, pk]
-            terms *= w_in[cell] * b_count[pk]
-            at = pu + (u1 - u0) * positions[:, None]
-            gain[:, u0:u1] = np.bincount(
-                at.ravel(), terms.ravel(), minlength=D * (u1 - u0)
-            ).reshape(D, -1)
-            u0 = u1
-        contrib = ((gain + x_bits * loss) * v[lo + x_leaf]).T  # (U, D)
-        owns = np.flatnonzero((slot == positions) & real)
-        to_feature = np.zeros((p.size, m))
-        to_feature[owns, feat.ravel()[owns]] = 1.0
-        phi += contrib[row_u.reshape(l, n).T].reshape(n, -1) @ to_feature
+    step = max(1, _TREE_CHUNK_BYTES // (8 * D * R))
+    per_leaf = max(-(-D // 64) * dtype.itemsize * R, 8 * max(n, B), D * D)
+    block = step * max(1, _TREE_CHUNK_BYTES // (per_leaf * step))
+    for lo in range(0, L, block):
+        p = path[lo : lo + block]
+        feat = feature[p]
+        masks, slot = _fail_masks(outcome, p, went_right[lo : lo + block], feat, R, dtype)
+        _add_block(phi, masks, slot, feat, v[lo : lo + block], n, step, weights)
     phi /= B
     return phi, phi0
 

@@ -94,7 +94,12 @@ class CafaResult:
     ``surrogate_quality`` (``surrogate_accuracy`` in reports) is the
     surrogate's accuracy on its own training neighborhood, not held-out
     fidelity: it reads near 1 even where a fresh neighborhood draw scores
-    much lower."""
+    much lower.
+
+    The background is not stored: it is rebuilt bit for bit from the
+    neighborhood as ``Background.from_dataset(neighborhood.data,
+    size=cfg.background_size, seed=derive_seed(cfg.seed, _TAG_BACKGROUND))``.
+    """
 
     attribution: Attribution
     neighborhood: NeighborhoodSample
@@ -102,7 +107,6 @@ class CafaResult:
     surrogate_quality: float
     per_row_phi: np.ndarray
     explained_rows: np.ndarray
-    background: Background
 
 
 def resolve_pi(cfg: CafaConfig, data: Dataset | None) -> float:
@@ -183,7 +187,6 @@ def cafa_local(
         surrogate_quality=quality,
         per_row_phi=per_row_phi,
         explained_rows=idx,
-        background=bg,
     )
 
 

@@ -503,6 +503,8 @@ def encode_instance(schema: FeatureSchema, norm_params, raw: dict) -> np.ndarray
         v = raw[f.name]
         if f.is_categorical:
             key = str(v)
+            if key not in f.vocabulary and isinstance(v, float) and v.is_integer():
+                key = str(int(v))  # a JSON 2.0 names category "2"
             if key not in f.vocabulary:
                 raise InvalidInputError(
                     f"feature {f.name!r}: unknown category {key!r}"

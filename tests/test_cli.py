@@ -530,6 +530,25 @@ def test_bad_instance_file_exit_3(ws, tmp_path, capsys):
             assert f"feature {name!r}" in capsys.readouterr().err
 
 
+def test_instance_file_integral_number_names_a_category(ws, tmp_path, capsys):
+    # a categorical value written as the JSON number 2.0 names category "2";
+    # 2.5 and true name none and exit 3, naming the feature
+    with open(ws["data"], newline="") as fh:
+        raw = {k: v for k, v in next(csv.DictReader(fh)).items() if k != "class"}
+    schema = RandomForest.load(ws["model"]).schema
+    name = next(f.name for f in schema.features if f.is_categorical)
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps({**raw, name: float(raw[name])}))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert _explain(ws, a, "--method", "shap", "--instance", str(inst)) == 0
+    assert _explain(ws, b, "--method", "shap", "--instance", "0") == 0
+    assert _read(a / "attribution.csv") == _read(b / "attribution.csv")
+    for value in (float(raw[name]) + 0.5, True):
+        inst.write_text(json.dumps({**raw, name: value}))
+        assert _explain(ws, tmp_path / "o", "--method", "shap", "--instance", str(inst)) == 3
+        assert f"feature {name!r}: unknown category" in capsys.readouterr().err
+
+
 def _first_row_and_continuous_feature(ws):
     """The workspace CSV's first row of raw feature values, and the name of
     its first continuous feature."""

@@ -22,6 +22,7 @@ from cafa.errors import (
 from cafa.explain import Background, derive_seed, shapley_exact, shapley_forest
 from cafa.forest import ForestParams, train_forest
 from cafa.pipeline import (
+    _TAG_BACKGROUND,
     CafaConfig,
     GlobalCafaResult,
     cafa_global,
@@ -131,18 +132,20 @@ def test_nonzero_uncontrollable_raises_under_optimize():
 
 def test_per_row_recomputation_oracle(synth_task):
     # the per-row attributions are the surrogate's exact Shapley values
-    # against the stored background, and re-deriving them from the stored
-    # surrogate and background reproduces them to the bit
+    # against the background rebuilt from the stored neighborhood, and
+    # re-deriving them from the stored surrogate reproduces them to the bit
     data, model = synth_task
     cfg = CafaConfig(**FAST)
     res = cafa_local(data.X[25], model, data.schema, cfg, data=data)
     rows = res.neighborhood.data.X
+    bg = Background.from_dataset(res.neighborhood.data, size=cfg.background_size,
+                                 seed=derive_seed(cfg.seed, _TAG_BACKGROUND))
     for pos in (0, len(res.explained_rows) // 2, len(res.explained_rows) - 1):
         ri = int(res.explained_rows[pos])
-        exact = shapley_exact(res.surrogate, rows[ri], res.background)
+        exact = shapley_exact(res.surrogate, rows[ri], bg)
         assert np.max(np.abs(exact.phi - res.per_row_phi[pos])) <= 1e-12
         assert abs(exact.phi0 - res.attribution.phi0) <= 1e-12
-    again, phi0 = shapley_forest(res.surrogate, rows[res.explained_rows], res.background)
+    again, phi0 = shapley_forest(res.surrogate, rows[res.explained_rows], bg)
     assert np.array_equal(again, res.per_row_phi)
     assert phi0 == res.attribution.phi0
 

@@ -207,6 +207,18 @@ def test_encode_instance():
         encode_instance(schema, params, {"size": True, "grade": "2"})
 
 
+def test_encode_instance_reads_integral_json_numbers_as_categories():
+    # json.load gives 2.0 for a written 2.0; it names category "2", while
+    # 2.5 and True name none
+    schema = FeatureSchema([Feature("grade", "cat", True, vocabulary=("1", "2", "3"))])
+    for value in (2, 2.0):
+        assert list(encode_instance(schema, None, {"grade": value})) == [1.0]
+    for value in (2.5, True):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"feature 'grade': unknown category {str(value)!r}")):
+            encode_instance(schema, None, {"grade": value})
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, "inf", 10 ** 400],
                          ids=["inf", "-inf", "nan", "inf-string", "int-past-float"])
 def test_encode_instance_rejects_values_that_are_not_finite_numbers(value):
